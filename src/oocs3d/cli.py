@@ -36,7 +36,7 @@ log = logging.getLogger("oocs3d")
 
 
 def _apply_threads(threads: int | None) -> None:
-    """Pin BLAS/OpenMP pools via env vars; must run before numpy is imported."""
+    """Pin BLAS/OpenMP pools via env vars; only takes effect before numpy is imported."""
     if threads is None:
         env = os.environ.get("OOCS_THREADS")
         if env is None:
@@ -47,6 +47,9 @@ def _apply_threads(threads: int | None) -> None:
             raise ConfigError(f"OOCS_THREADS must be an integer, got {env!r}") from exc
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
+    if "numpy" in sys.modules:
+        log.warning("--threads/OOCS_THREADS=%d has no effect: numpy is already imported "
+                    "and its thread pools are sized", threads)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(threads)
 

@@ -91,10 +91,16 @@ def motion_artifact(
     then splices the spectra: the first-axis frequency range is split
     into n_transforms + 1 equal slabs (remainder to the last), slab 0
     taken from the unmoved volume and slab j from moved copy j.  Returns
-    the real part of the inverse transform.
+    the real part of the inverse transform.  The depth must be at least
+    n_transforms + 1 so that every slab, the unmoved one included, is
+    non-empty.
     """
     if n_transforms < 1:
         raise DomainError(f"n_transforms must be >= 1, got {n_transforms}")
+    if v.shape[0] < n_transforms + 1:
+        raise DomainError(
+            f"motion needs depth D >= n + 1 for n={n_transforms} transforms, got D={v.shape[0]}"
+        )
     if max_rot_deg < 0.0 or max_trans_mm < 0.0:
         raise DomainError("motion amplitude bounds must be >= 0")
     rng = make_rng(seed)

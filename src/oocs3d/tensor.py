@@ -11,8 +11,13 @@ Conventions, fixed once for the whole package:
   no spatial flip;
 * "same_zero" padding zero-pads so spatial dims are preserved, "valid"
   keeps only fully covered positions;
-* the accumulation order over (input channel, kz, ky, kx) is fixed, so
-  results are bit-deterministic for a given input.
+* convolutions are im2col matrix products done by BLAS, one per depth
+  slab.  Results are byte-identical from run to run at a fixed BLAS
+  thread count.  The summation order inside a product is BLAS's choice,
+  so another thread count or BLAS build may change the last bits (the
+  tests check that 1 and 2 threads agree byte for byte).  Negating the
+  weights negates every partial sum, so an Off response is bit-exactly
+  minus its On response.
 
 Containers freeze their buffers after validation; instances are safe to
 share across threads, and every operation returns fresh arrays.
@@ -21,12 +26,16 @@ share across threads, and every operation returns fresh arrays.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError, InvalidKernelError
 
 PAD_SAME = "same_zero"
 PAD_VALID = "valid"
 PADDINGS = (PAD_SAME, PAD_VALID)
+
+# Upper bound on the im2col column buffer per depth slab; one slab is the floor.
+_COL_BYTES = 1 << 20
 
 
 def _check_padding(padding: str) -> None:
@@ -212,11 +221,40 @@ def conv3d_output_shape(input_shape, k: int, padding: str) -> tuple[int, int, in
     return out
 
 
-def _padded_input(x: FeatureMap, k: int, padding: str) -> np.ndarray:
-    if padding == PAD_SAME:
-        m = k // 2
-        return np.pad(x.data, ((0, 0), (m, m), (m, m), (m, m)))
-    return x.data
+def _pad(a: np.ndarray, m: int) -> np.ndarray:
+    """Zero-pad the spatial axes of a (C, D, H, W) array by `m` on each side."""
+    return np.pad(a, ((0, 0),) + ((m, m),) * 3) if m else a
+
+
+def _slabs(xp: np.ndarray, k: int, out_shape):
+    """Yield (depth slice, im2col columns) over the output, one depth slab at a time.
+
+    Each column matrix has one row per (input channel, kz, ky, kx) tap and
+    one column per output voxel of the slab.  All slabs share one buffer
+    of at most `_COL_BYTES`, unless a single depth slice needs more, so a
+    yielded matrix is only valid until the next one is drawn.
+    """
+    d, h, w = out_shape
+    c = xp.shape[0]
+    win = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3)).transpose(0, 4, 5, 6, 1, 2, 3)
+    depth = min(d, max(1, _COL_BYTES // (c * k ** 3 * h * w * 8)))
+    buf = np.empty((c, k, k, k, depth, h, w))
+    for z in range(0, d, depth):
+        n = min(depth, d - z)
+        cols = buf[:, :, :, :, :n]
+        np.copyto(cols, win[:, :, :, :, z:z + n])
+        yield slice(z, z + n), cols.reshape(c * k ** 3, n * h * w)
+
+
+def _correlate(xp: np.ndarray, w: np.ndarray, out_shape) -> np.ndarray:
+    """Valid cross-correlation of padded (C_in, ...) `xp` with (C_out, C_in, k, k, k) `w`."""
+    c_out, k = w.shape[0], w.shape[2]
+    out = np.empty((c_out,) + tuple(out_shape))
+    wmat = w.reshape(c_out, -1)
+    for sl, cols in _slabs(xp, k, out_shape):
+        # a depth slice of a C-ordered (C, D, H, W) array reshapes to a view
+        np.matmul(wmat, cols, out=out[:, sl].reshape(c_out, -1))
+    return out
 
 
 def conv3d_forward(x: FeatureMap, w: ConvWeights, padding: str = PAD_SAME) -> FeatureMap:
@@ -229,18 +267,8 @@ def conv3d_forward(x: FeatureMap, w: ConvWeights, padding: str = PAD_SAME) -> Fe
     if x.channels != w.c_in:
         raise DimensionError(f"input has {x.channels} channels but weights expect {w.c_in}")
     out_shape = conv3d_output_shape(x.data.shape[1:], w.k, padding)
-    xp = _padded_input(x, w.k, padding)
-    k = w.k
-    dd, hh, ww = out_shape
-    out = np.zeros((w.c_out, dd, hh, ww))
-    # fixed accumulation order (i, kz, ky, kx) -> bit-deterministic results
-    for i in range(w.c_in):
-        for kz in range(k):
-            for ky in range(k):
-                for kx in range(k):
-                    coeff = w.data[:, i, kz, ky, kx]
-                    patch = xp[i, kz:kz + dd, ky:ky + hh, kx:kx + ww]
-                    out += coeff[:, None, None, None] * patch[None]
+    m = w.k // 2 if padding == PAD_SAME else 0
+    out = _correlate(_pad(x.data, m), w.data, out_shape)
     if w.bias is not None:
         out += w.bias[:, None, None, None]
     return FeatureMap(out)
@@ -262,26 +290,15 @@ def conv3d_backward(
         raise DimensionError(
             f"grad_out shape {grad_out.data.shape} does not match forward output {(w.c_out,) + out_shape}"
         )
-    xp = _padded_input(x, w.k, padding)
     go = grad_out.data
     k = w.k
-    dd, hh, ww = out_shape
-    grad_xp = np.zeros_like(xp)
-    grad_w = np.zeros_like(w.data)
-    for i in range(w.c_in):
-        for kz in range(k):
-            for ky in range(k):
-                for kx in range(k):
-                    patch = xp[i, kz:kz + dd, ky:ky + hh, kx:kx + ww]
-                    grad_w[:, i, kz, ky, kx] = np.tensordot(go, patch, axes=([1, 2, 3], [0, 1, 2]))
-                    grad_xp[i, kz:kz + dd, ky:ky + hh, kx:kx + ww] += np.tensordot(
-                        w.data[:, i, kz, ky, kx], go, axes=(0, 0)
-                    )
-    if padding == PAD_SAME:
-        m = k // 2
-        d, h, wdt = x.data.shape[1:]
-        grad_x = grad_xp[:, m:m + d, m:m + h, m:m + wdt]
-    else:
-        grad_x = grad_xp
+    m = k // 2 if padding == PAD_SAME else 0
+    grad_w = np.zeros((w.c_out, w.c_in * k ** 3))
+    for sl, cols in _slabs(_pad(x.data, m), k, out_shape):
+        grad_w += go[:, sl].reshape(w.c_out, -1) @ cols.T
+    # grad_input is the full correlation of grad_out with the flipped,
+    # channel-transposed kernel: pad so every input voxel sees all k^3 taps
+    w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+    grad_x = _correlate(_pad(go, k - 1 - m), w_adj, x.data.shape[1:])
     grad_bias = go.sum(axis=(1, 2, 3)) if w.bias is not None else None
-    return FeatureMap(grad_x), ConvWeights(grad_w, grad_bias)
+    return FeatureMap(grad_x), ConvWeights(grad_w.reshape(w.data.shape), grad_bias)

@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, stream separation, determinism."""
 
 import json
+import logging
 import subprocess
 import sys
 
@@ -13,6 +14,27 @@ from oocs3d.tensor import BinaryMask, ConvWeights, FeatureMap, Volume, conv3d_fo
 from oocs3d.volio import read_mha, read_raw_json, write_mha, write_raw_json
 
 from oracles import naive_conv3d
+
+
+# Prints a digest of one block forward and backward pass at the thread
+# count given as argv[1], pinned the same way `--threads` pins it.
+_BLOCK_DIGEST = """
+import hashlib, sys
+from oocs3d.cli import _apply_threads
+_apply_threads(int(sys.argv[1]))
+import numpy as np
+from oocs3d.block import OocsBlockConfig, block_backward, block_forward, init_block_params
+from oocs3d.tensor import FeatureMap
+cfg = OocsBlockConfig(c_in=4, c_out=8)
+rng = np.random.default_rng(5)
+params = init_block_params(cfg, 5)
+y, cache = block_forward(FeatureMap(rng.normal(size=(4, 12, 14, 16))), params, cfg)
+gx, grads = block_backward(FeatureMap(rng.normal(size=y.shape)), cache, params, cfg)
+h = hashlib.sha256(y.data.tobytes() + gx.data.tobytes())
+for w in (grads.w1_on, grads.w1_off, grads.w2_on, grads.w2_off):
+    h.update(w.data.tobytes() + w.bias.tobytes())
+print(h.hexdigest())
+"""
 
 
 def _run(capsys, *argv):
@@ -264,6 +286,17 @@ class TestPerturbCommand:
             main(["perturb", "--in", "x.mha", "--out", "y.mha", "--kind", "shear"])
         assert exc.value.code == 2
 
+    def test_motion_on_shallow_volume_is_usage_error(self, capsys, caplog, tmp_path):
+        v = Volume(np.random.default_rng(283).normal(size=(3, 6, 6)), spacing=(1.0, 1.0, 1.0))
+        src = tmp_path / "in.mha"
+        write_mha(v, str(src))
+        out = tmp_path / "o.mha"
+        rc, _, _ = _run(capsys, "perturb", "--in", str(src), "--out", str(out),
+                        "--kind", "motion", "--n", "3")
+        assert rc == 2
+        assert "D=3" in caplog.text and "n=3" in caplog.text
+        assert not out.exists()
+
     def test_blur_on_mask_input_is_usage_error(self, capsys, tmp_path):
         m = BinaryMask(np.ones((3, 3, 3), dtype=bool), spacing=(1.0, 1.0, 1.0))
         src = tmp_path / "m.mha"
@@ -373,6 +406,58 @@ class TestTopLevel:
         monkeypatch.setenv("OOCS_THREADS", "zero")
         rc, _, _ = _run(capsys, "kernel", "--k", "3")
         assert rc == 2
+
+    def test_threads_after_numpy_import_warns(self, capsys, caplog, monkeypatch):
+        # in-process main() always runs after numpy is loaded, when the
+        # thread pools can no longer be resized; monkeypatch restores the
+        # pool variables main() sets
+        for var in ("OOCS_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        with caplog.at_level(logging.WARNING, logger="oocs3d"):
+            rc, _, _ = _run(capsys, "--threads", "2", "kernel", "--k", "3")
+        assert rc == 0
+        assert any("no effect" in r.getMessage() for r in caplog.records)
+        caplog.clear()
+        monkeypatch.setenv("OOCS_THREADS", "2")
+        with caplog.at_level(logging.WARNING, logger="oocs3d"):
+            rc, _, _ = _run(capsys, "kernel", "--k", "3")
+        assert rc == 0
+        assert any("no effect" in r.getMessage() for r in caplog.records)
+
+    def test_unset_threads_does_not_warn(self, capsys, caplog, monkeypatch):
+        monkeypatch.delenv("OOCS_THREADS", raising=False)
+        with caplog.at_level(logging.WARNING, logger="oocs3d"):
+            rc, _, _ = _run(capsys, "kernel", "--k", "3")
+        assert rc == 0
+        assert not caplog.records
+
+    def test_conv_outputs_are_byte_identical_across_thread_counts(self, tmp_path):
+        # the engine's contract: byte-identical results at 1 and 2 BLAS
+        # threads, for the single-channel filter and the multichannel block
+        rng = np.random.default_rng(287)
+        src = tmp_path / "in.mha"
+        write_mha(Volume(rng.normal(size=(20, 24, 28))), str(src))
+        filtered, block = [], []
+        for threads in ("1", "2"):
+            on_p = tmp_path / f"on{threads}.mha"
+            off_p = tmp_path / f"off{threads}.mha"
+            r = subprocess.run(
+                [sys.executable, "-m", "oocs3d.cli", "--threads", threads, "filter",
+                 "--in", str(src), "--out-on", str(on_p), "--out-off", str(off_p), "--k", "5"],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert r.returncode == 0, r.stderr
+            assert "no effect" not in r.stderr
+            filtered.append(on_p.read_bytes() + off_p.read_bytes())
+            r = subprocess.run(
+                [sys.executable, "-c", _BLOCK_DIGEST, threads],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert r.returncode == 0, r.stderr
+            block.append(r.stdout)
+        assert filtered[0] == filtered[1]
+        assert block[0] == block[1]
 
     def test_threads_flag_does_not_change_results(self, tmp_path):
         # run as real subprocesses so the thread pinning can take effect

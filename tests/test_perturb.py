@@ -161,10 +161,13 @@ class TestMotion:
         for idx in ((6, 6, 6), (2, 9, 4), (11, 0, 7)):
             assert float(d[idx]) == pytest.approx(GOLDEN_MOTION[idx], rel=1e-9)
 
-    def test_short_axis_still_produces_finite_output(self):
-        # more slabs than frequency rows: all rows fall to the last copy
+    def test_short_axis_is_rejected(self):
+        # more slabs than frequency rows would leave slab 0, the unmoved
+        # spectrum, empty
         v = Volume(np.random.default_rng(109).normal(size=(3, 6, 6)))
-        out = motion_artifact(v, n_transforms=5, max_rot_deg=2.0, max_trans_mm=0.5, seed=1)
+        with pytest.raises(DomainError, match=r"D=3"):
+            motion_artifact(v, n_transforms=5, max_rot_deg=2.0, max_trans_mm=0.5, seed=1)
+        out = motion_artifact(v, n_transforms=2, max_rot_deg=2.0, max_trans_mm=0.5, seed=1)
         assert out.data.shape == v.shape
         assert np.isfinite(out.data).all()
 

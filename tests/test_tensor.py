@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oocs3d import tensor
 from oocs3d.errors import DimensionError, DomainError, InvalidKernelError
 from oocs3d.tensor import (
     PAD_SAME,
@@ -288,3 +289,68 @@ class TestConvBackward:
         bad = FeatureMap(np.zeros((1, 3, 3, 3)))
         with pytest.raises(DimensionError):
             conv3d_backward(x, w, bad, PAD_SAME)
+
+
+class TestSlabBoundaries:
+    """The engine splits the output depth into slabs sized by `_COL_BYTES`.
+
+    The budget is shrunk so the forward output (depth 7) splits into
+    1-voxel slabs or into uneven slabs of 3, 3 and 1.
+    """
+
+    OUT = (7, 3, 2)
+    C_OUT = 2
+
+    @staticmethod
+    def _setup(monkeypatch, k, padding, c_in, slab_depth, seed):
+        grow = 0 if padding == PAD_SAME else k - 1
+        spatial = tuple(s + grow for s in TestSlabBoundaries.OUT)
+        d, h, w = TestSlabBoundaries.OUT
+        monkeypatch.setattr(tensor, "_COL_BYTES", slab_depth * c_in * k ** 3 * h * w * 8)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c_in,) + spatial)
+        w0 = rng.normal(size=(TestSlabBoundaries.C_OUT, c_in, k, k, k))
+        probe = rng.normal(size=(TestSlabBoundaries.C_OUT,) + TestSlabBoundaries.OUT)
+        return x, w0, rng.normal(size=TestSlabBoundaries.C_OUT), probe
+
+    @pytest.mark.parametrize("slab_depth", [1, 3])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_forward_matches_oracle(self, monkeypatch, k, padding, c_in, slab_depth):
+        x, w0, bias, _ = self._setup(monkeypatch, k, padding, c_in, slab_depth, 37)
+        got = conv3d_forward(FeatureMap(x), ConvWeights(w0, bias=bias), padding).data
+        want = naive_conv3d(x, w0, bias, padding)
+        assert np.abs(got - want).max() < 1e-9
+
+    @pytest.mark.parametrize("slab_depth", [1, 3])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_backward_matches_central_difference(self, monkeypatch, k, padding, c_in, slab_depth):
+        x0, w0, bias, probe = self._setup(monkeypatch, k, padding, c_in, slab_depth, 41)
+
+        def phi_w(wdata):
+            return float(np.sum(conv3d_forward(FeatureMap(x0), ConvWeights(wdata), padding).data * probe))
+
+        def phi_x(xdata):
+            return float(np.sum(conv3d_forward(FeatureMap(xdata), ConvWeights(w0), padding).data * probe))
+
+        # both objectives are linear, so a unit step has no truncation error
+        # and keeps the roundoff of these larger sums below the tolerance
+        gx, gw = conv3d_backward(FeatureMap(x0), ConvWeights(w0, bias=bias), FeatureMap(probe), padding)
+        assert max_rel_err(gw.data, central_difference(phi_w, w0, h=1.0)) < 1e-6
+        assert max_rel_err(gx.data, central_difference(phi_x, x0, h=1.0)) < 1e-6
+        assert max_rel_err(gw.bias, probe.sum(axis=(1, 2, 3))) < 1e-12
+
+    @pytest.mark.parametrize("slab_depth", [1, 3])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_adjoint_identity(self, monkeypatch, k, padding, c_in, slab_depth):
+        # <conv(x, w), g> = <x, grad_x(g)> = <w, grad_w(g)>: conv is bilinear
+        x, w0, _, g = self._setup(monkeypatch, k, padding, c_in, slab_depth, 43)
+        lhs = float(np.sum(conv3d_forward(FeatureMap(x), ConvWeights(w0), padding).data * g))
+        gx, gw = conv3d_backward(FeatureMap(x), ConvWeights(w0), FeatureMap(g), padding)
+        assert abs(float(np.sum(x * gx.data)) - lhs) <= 1e-12 * abs(lhs)
+        assert abs(float(np.sum(w0 * gw.data)) - lhs) <= 1e-12 * abs(lhs)
