@@ -7,6 +7,7 @@ are measured in millimeters on physical voxel-center coordinates.
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import DimensionError, UndefinedDistanceError
@@ -31,9 +32,21 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def _physical_points(m: BinaryMask) -> np.ndarray:
-    idx = np.argwhere(m.data)
-    return idx * np.asarray(m.spacing, dtype=np.float64)
+def _directed_mm(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
+    """Farthest distance in mm from a voxel of mask A to its nearest voxel of B.
+
+    Only voxels of A outside B are queried; the rest are at distance 0.
+    The tree holds B's 6-connected edge only (voxels on the volume
+    border count as edge): from a point outside B, one axis step toward
+    it from any interior voxel of B stays in B and is strictly closer
+    under any spacing, so the nearest voxel of B is always an edge one
+    and the result is the same float as against all of B.
+    """
+    outside = np.argwhere(a & ~b)
+    if not len(outside):
+        return 0.0
+    edge = np.argwhere(b & ~ndimage.binary_erosion(b))
+    return float(cKDTree(edge * spacing).query(outside * spacing)[0].max())
 
 
 def hausdorff_mm(a: BinaryMask, b: BinaryMask) -> float:
@@ -46,8 +59,5 @@ def hausdorff_mm(a: BinaryMask, b: BinaryMask) -> float:
     _check_compatible(a, b)
     if a.count == 0 or b.count == 0:
         raise UndefinedDistanceError("Hausdorff distance is undefined for an empty mask")
-    pa = _physical_points(a)
-    pb = _physical_points(b)
-    d_ab = cKDTree(pb).query(pa)[0].max()
-    d_ba = cKDTree(pa).query(pb)[0].max()
-    return float(max(d_ab, d_ba))
+    sp = np.asarray(a.spacing, dtype=np.float64)
+    return max(_directed_mm(a.data, b.data, sp), _directed_mm(b.data, a.data, sp))

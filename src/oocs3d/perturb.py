@@ -94,6 +94,15 @@ def motion_artifact(
     the real part of the inverse transform.  The depth must be at least
     n_transforms + 1 so that every slab, the unmoved one included, is
     non-empty.
+
+    The slabs depend on the depth frequency only, so the H and W
+    transforms cancel between the forward and inverse 3-D FFTs and the
+    splice runs along depth alone.  Its real part is the inverse real
+    FFT of the Hermitian half-spectrum
+    H[k] = (R_s(k)[k] + R_s(-k mod D)[k]) / 2, k = 0..D//2, where R_j is
+    the depth rfft of copy j and s(k) the slab of frequency k.  Each
+    copy's weighted half-spectrum is added into H as the copy is made,
+    so no full spectrum per copy is kept.
     """
     if n_transforms < 1:
         raise DomainError(f"n_transforms must be >= 1, got {n_transforms}")
@@ -103,24 +112,23 @@ def motion_artifact(
         )
     if max_rot_deg < 0.0 or max_trans_mm < 0.0:
         raise DomainError("motion amplitude bounds must be >= 0")
-    rng = make_rng(seed)
-    spectra = [np.fft.fftn(v.data)]
-    for _ in range(n_transforms):
-        angles = rng.uniform(-max_rot_deg, max_rot_deg, size=3)
-        trans = rng.uniform(-max_trans_mm, max_trans_mm, size=3)
-        matrix, offset = rigid_index_map(v.shape, v.spacing, angles, trans)
-        moved = resample_affine(v.data, matrix, offset, order=1)
-        spectra.append(np.fft.fftn(moved))
     d = v.shape[0]
-    n_slabs = n_transforms + 1
-    base = d // n_slabs
-    composite = np.empty_like(spectra[0])
-    for j in range(n_slabs):
-        lo = j * base
-        hi = (j + 1) * base if j < n_slabs - 1 else d
-        composite[lo:hi] = spectra[j][lo:hi]
-    out = np.fft.ifftn(composite).real
-    return Volume(out, v.spacing)
+    slab = np.minimum(np.arange(d) // (d // (n_transforms + 1)), n_transforms)
+    k = np.arange(d // 2 + 1)
+    rng = make_rng(seed)
+    half = np.zeros((k.size,) + v.shape[1:], dtype=np.complex128)
+    copy = v.data
+    for j in range(n_transforms + 1):
+        if j:
+            angles = rng.uniform(-max_rot_deg, max_rot_deg, size=3)
+            trans = rng.uniform(-max_trans_mm, max_trans_mm, size=3)
+            matrix, offset = rigid_index_map(v.shape, v.spacing, angles, trans)
+            copy = resample_affine(v.data, matrix, offset, order=1)
+        weight = 0.5 * (slab[k] == j) + 0.5 * (slab[-k % d] == j)
+        spec = np.fft.rfft(copy, axis=0)
+        spec *= weight[:, None, None]
+        half += spec
+    return Volume(np.fft.irfft(half, n=d, axis=0), v.spacing)
 
 
 def apply(v: Volume, spec: PerturbSpec) -> Volume:

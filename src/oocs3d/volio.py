@@ -4,8 +4,11 @@ MetaImage files store DimSize as (W H D) and ElementSpacing as
 (sx sy sz); in memory arrays are (D, H, W) with spacing (sz, sy, sx), so
 both tuples reverse at the boundary.  Payloads are little-endian binary,
 either inline (ElementDataFile = LOCAL, the only form written) or in a
-sibling file named by the header.  MET_UCHAR payloads whose values are
-all 0 or 1 load as masks; everything else loads as an image volume.
+sibling file named by the header.  A payload name must be a bare file
+name in the header's own directory: absolute names, names with a path
+separator, and `.`/`..` are rejected as corrupt.  MET_UCHAR payloads
+whose values are all 0 or 1 load as masks; everything else loads as an
+image volume.
 
 Written headers have a fixed key order and shortest-round-trip float
 formatting, so writing the same object twice yields identical bytes.
@@ -101,6 +104,14 @@ _KNOWN_OK = {
 }
 
 
+def _sibling(header_path: str, name, key: str) -> str:
+    """Path of payload file `name` beside `header_path`, which must be a bare file name."""
+    # an absolute name always holds a separator; NUL would make open() raise ValueError
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise CorruptFileError(f"{key} must be a bare file name beside the header, got {name!r}")
+    return os.path.join(os.path.dirname(os.path.abspath(header_path)), name)
+
+
 def _read_header(f) -> tuple[dict, bytes | None]:
     """Parse 'Key = Value' lines up to ElementDataFile; return fields + inline payload."""
     fields: dict[str, str] = {}
@@ -172,8 +183,7 @@ def read_mha(path: str):
     dtype = _ELEMENT_TYPES[element_type][0]
 
     if inline is None:
-        sibling = os.path.join(os.path.dirname(os.path.abspath(path)), fields["ElementDataFile"])
-        with open(sibling, "rb") as f:
+        with open(_sibling(path, fields["ElementDataFile"], "ElementDataFile"), "rb") as f:
             inline = f.read()
     expected = w * h * d * dtype.itemsize
     if len(inline) != expected:
@@ -240,8 +250,9 @@ def read_raw_json(json_path: str):
         raise UnsupportedFormatError(f"unsupported dtype {dtype!r} for kind {kind!r}")
     if len(shape) != 3 or min(shape) < 1:
         raise CorruptFileError(f"shape must be three positive integers, got {doc['shape']!r}")
-    raw_path = os.path.join(os.path.dirname(os.path.abspath(json_path)), raw_name)
-    with open(raw_path, "rb") as f:
+    if len(spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in spacing):
+        raise CorruptFileError(f"spacing must be three positive numbers, got {doc['spacing']!r}")
+    with open(_sibling(json_path, raw_name, "raw_file"), "rb") as f:
         payload = f.read()
     np_dtype = np.dtype("<f8") if kind == "image" else np.dtype("u1")
     expected = int(np.prod(shape)) * np_dtype.itemsize

@@ -81,6 +81,25 @@ def two_pathway_param_count(c_in, c_out, k):
     return 2 * total
 
 
+def fftn_motion_splice(copies):
+    """Full 3-D FFT slab splice of motion-corrupted copies.
+
+    copies[0] is the unmoved volume and copies[j] moved copy j.  The
+    first-axis frequency rows split into len(copies) equal slabs, the
+    remainder going to the last; slab j comes from the 3-D spectrum of
+    copies[j], and the real part of the 3-D inverse is returned.
+    """
+    spectra = [np.fft.fftn(c) for c in copies]
+    d = spectra[0].shape[0]
+    n_slabs = len(spectra)
+    base = d // n_slabs
+    composite = np.empty_like(spectra[0])
+    for j, spectrum in enumerate(spectra):
+        hi = (j + 1) * base if j < n_slabs - 1 else d
+        composite[j * base:hi] = spectrum[j * base:hi]
+    return np.fft.ifftn(composite).real
+
+
 def brute_hausdorff_mm(mask_a, mask_b, spacing):
     """Symmetric Hausdorff distance from the full pairwise matrix."""
     sp = np.asarray(spacing, dtype=np.float64)

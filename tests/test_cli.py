@@ -402,6 +402,29 @@ class TestTopLevel:
         rc, _, _ = _run(capsys, "eval", "--pred", str(p), "--ref", str(p))
         assert rc == 3
 
+    def test_payload_outside_header_directory_is_io_error(self, capsys, caplog, tmp_path):
+        m = BinaryMask(np.ones((2, 2, 2), dtype=bool))
+        (tmp_path / "hdr").mkdir()
+        write_raw_json(m, str(tmp_path / "outside.json"))
+        ref = tmp_path / "hdr" / "ref.json"
+        write_raw_json(m, str(ref))
+        doc = json.loads(ref.read_text())
+        doc["raw_file"] = "../outside.raw"
+        ref.write_text(json.dumps(doc))
+        rc, _, _ = _run(capsys, "eval", "--pred", str(ref), "--ref", str(ref))
+        assert rc == 3
+        assert "raw_file" in caplog.text
+
+    def test_nonpositive_sidecar_spacing_is_io_error(self, capsys, caplog, tmp_path):
+        ref = tmp_path / "ref.json"
+        write_raw_json(BinaryMask(np.ones((2, 2, 2), dtype=bool)), str(ref))
+        doc = json.loads(ref.read_text())
+        doc["spacing"] = [1.0, -1.0, 1.0]
+        ref.write_text(json.dumps(doc))
+        rc, _, _ = _run(capsys, "eval", "--pred", str(ref), "--ref", str(ref))
+        assert rc == 3
+        assert "spacing" in caplog.text
+
     def test_invalid_threads_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("OOCS_THREADS", "zero")
         rc, _, _ = _run(capsys, "kernel", "--k", "3")

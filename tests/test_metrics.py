@@ -130,6 +130,48 @@ class TestHausdorff:
             want = brute_hausdorff_mm(a.data, b.data, spacing)
             assert got == want
 
+    def test_ball_inside_hollow_shell(self):
+        # A sits in the cavity of B.  The farthest point of A from B is
+        # A's center, 7 mm from the cavity wall; B's outer rim is at most
+        # 9.5 - 3 = 6.5 mm from A
+        spacing = (1.5, 1.0, 0.7)
+        z, y, x = np.indices((15, 21, 29)) - np.array([7, 10, 14])[:, None, None, None]
+        r = np.sqrt((z * spacing[0]) ** 2 + (y * spacing[1]) ** 2 + (x * spacing[2]) ** 2)
+        ball, shell = r <= 3.0, (r >= 7.0) & (r <= 9.5)
+        got = hausdorff_mm(_mask(ball, spacing), _mask(shell, spacing))
+        assert got == brute_hausdorff_mm(ball, shell, spacing)
+        assert got == pytest.approx(7.0, rel=1e-12)
+
+    def test_nested_masks(self):
+        spacing = (1.5, 1.0, 0.7)
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            outer = rng.random((6, 7, 8)) < 0.6
+            inner = outer & (rng.random(outer.shape) < 0.5)
+            inner[tuple(np.argwhere(outer)[0])] = True
+            a, b = _mask(inner, spacing), _mask(outer, spacing)
+            want = brute_hausdorff_mm(inner, outer, spacing)
+            assert hausdorff_mm(a, b) == want
+            assert hausdorff_mm(b, a) == want
+
+    def test_masks_touching_the_volume_border(self):
+        # B fills the volume but for a hole at one corner; A is the hole
+        # plus a border face shared with B
+        spacing = (1.5, 1.0, 0.7)
+        b = np.ones((6, 7, 8), dtype=bool)
+        b[:2, :3, :4] = False
+        a = ~b
+        a[-1] = True
+        got = hausdorff_mm(_mask(a, spacing), _mask(b, spacing))
+        assert got == brute_hausdorff_mm(a, b, spacing)
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            a = rng.random((5, 6, 4)) < 0.7
+            b = rng.random((5, 6, 4)) < 0.8
+            a[0, 0, 0] = b[-1, -1, -1] = True
+            got = hausdorff_mm(_mask(a, spacing), _mask(b, spacing))
+            assert got == brute_hausdorff_mm(a, b, spacing)
+
     def test_empty_mask_rejected(self):
         e = _mask(np.zeros((2, 2, 2), dtype=bool))
         f = np.zeros((2, 2, 2), dtype=bool)

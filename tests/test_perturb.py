@@ -15,6 +15,8 @@ from oocs3d.perturb import (
 from oocs3d.rng import make_rng
 from oocs3d.tensor import Volume
 
+from oracles import fftn_motion_splice
+
 # Frozen first-run output statistics of the spliced-spectrum motion model
 # on a 12-wide checkerboard (n=5, rot 10 deg, trans 3 mm, seed 2026).
 # Regression lock only; any change to draws, resampling, or slab policy
@@ -30,6 +32,18 @@ GOLDEN_MOTION = {
 
 def _volume(rng, shape=(8, 8, 8), spacing=(1.0, 1.0, 1.0)):
     return Volume(rng.normal(size=shape), spacing=spacing)
+
+
+def _motion_copies(v, n, max_rot_deg, max_trans_mm, seed):
+    """The unmoved volume and its n moved copies, drawn in the documented order."""
+    draws = make_rng(seed)
+    copies = [v.data]
+    for _ in range(n):
+        angles = draws.uniform(-max_rot_deg, max_rot_deg, size=3)
+        trans = draws.uniform(-max_trans_mm, max_trans_mm, size=3)
+        matrix, offset = rigid_index_map(v.shape, v.spacing, angles, trans)
+        copies.append(resample_affine(v.data, matrix, offset, order=1))
+    return copies
 
 
 def _checkerboard(n):
@@ -142,15 +156,30 @@ class TestMotion:
             v = Volume(rng_in.normal(size=(12, 12, 12)))
             n = 3
             out = motion_artifact(v, n_transforms=n, max_rot_deg=8.0, max_trans_mm=2.0, seed=seed)
-            draws = make_rng(seed)
-            norms = [np.linalg.norm(v.data)]
-            for _ in range(n):
-                angles = draws.uniform(-8.0, 8.0, size=3)
-                trans = draws.uniform(-2.0, 2.0, size=3)
-                matrix, offset = rigid_index_map(v.shape, v.spacing, angles, trans)
-                moved = resample_affine(v.data, matrix, offset, order=1)
-                norms.append(np.linalg.norm(moved))
+            norms = [np.linalg.norm(c) for c in _motion_copies(v, n, 8.0, 2.0, seed)]
             assert np.linalg.norm(out.data) <= max(norms) * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize(
+        "n, shape, spacing",
+        [
+            (1, (2, 5, 4), (1.0, 1.0, 1.0)),
+            (1, (9, 6, 5), (1.5, 1.0, 0.7)),
+            (2, (3, 6, 7), (1.5, 1.0, 0.7)),
+            (2, (10, 5, 6), (0.8, 1.2, 1.0)),
+            (3, (4, 7, 5), (1.0, 1.0, 1.0)),
+            (3, (13, 6, 6), (1.5, 1.0, 0.7)),
+            (5, (6, 5, 7), (1.5, 1.0, 0.7)),
+            (5, (11, 6, 5), (1.0, 1.0, 1.0)),
+            (5, (16, 7, 6), (0.7, 1.5, 1.0)),
+        ],
+    )
+    def test_matches_full_fft_splice_oracle(self, n, shape, spacing):
+        # depths n + 1 and odd/even ones above it; uneven last slabs
+        rng = np.random.default_rng(300 + n + shape[0])
+        v = Volume(rng.normal(size=shape) * 40.0 + 100.0, spacing)
+        out = motion_artifact(v, n_transforms=n, max_rot_deg=12.0, max_trans_mm=2.5, seed=n)
+        want = fftn_motion_splice(_motion_copies(v, n, 12.0, 2.5, n))
+        assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_golden_checkerboard_statistics(self):
         v = _checkerboard(12)

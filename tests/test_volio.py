@@ -217,6 +217,22 @@ class TestMhaErrorPaths:
         with pytest.raises(RangeError):
             write_mha(v2, str(tmp_path / "v2.mha"), element_type="MET_FLOAT")
 
+    @pytest.mark.parametrize("name", ["../outside.raw", "sub/inside.raw", "{abs}", ".", ".."])
+    def test_payload_name_must_be_bare_sibling(self, tmp_path, name):
+        # every name below points at a readable, correctly sized payload
+        payload = struct.pack("<2d", 1.0, 2.0)
+        (tmp_path / "hdr" / "sub").mkdir(parents=True)
+        (tmp_path / "outside.raw").write_bytes(payload)
+        (tmp_path / "hdr" / "sub" / "inside.raw").write_bytes(payload)
+        name = name.format(abs=tmp_path / "outside.raw")
+        p = tmp_path / "hdr" / "vol.mhd"
+        p.write_bytes(
+            "ObjectType = Image\nNDims = 3\nDimSize = 2 1 1\nElementType = MET_DOUBLE\n"
+            f"ElementDataFile = {name}\n".encode("ascii")
+        )
+        with pytest.raises(CorruptFileError, match="ElementDataFile"):
+            read_mha(str(p))
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_mha(str(tmp_path / "absent.mha"))
@@ -281,6 +297,37 @@ class TestRawJson:
         doc = json.loads(p.read_text())
         (tmp_path / doc["raw_file"]).write_bytes(bytes([1, 2]))
         with pytest.raises(CorruptFileError):
+            read_raw_json(str(p))
+
+    @pytest.mark.parametrize("name", ["../outside.raw", "sub/inside.raw", "{abs}", ".", "..", 7])
+    def test_payload_name_must_be_bare_sibling(self, tmp_path, name):
+        # every string below points at a readable, correctly sized payload
+        v = _volume(np.random.default_rng(263), shape=(1, 1, 2))
+        (tmp_path / "hdr").mkdir()
+        p = tmp_path / "hdr" / "vol.json"
+        write_raw_json(v, str(p))
+        doc = json.loads(p.read_text())
+        payload = (tmp_path / "hdr" / doc["raw_file"]).read_bytes()
+        (tmp_path / "hdr" / "sub").mkdir()
+        (tmp_path / "outside.raw").write_bytes(payload)
+        (tmp_path / "hdr" / "sub" / "inside.raw").write_bytes(payload)
+        doc["raw_file"] = name.format(abs=tmp_path / "outside.raw") if isinstance(name, str) else name
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError, match="raw_file"):
+            read_raw_json(str(p))
+
+    @pytest.mark.parametrize(
+        "spacing", [[-1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, float("nan")],
+                    [float("inf"), 1.0, 1.0], [1.0, 1.0]]
+    )
+    def test_bad_spacing_is_corrupt(self, tmp_path, spacing):
+        v = _volume(np.random.default_rng(269), shape=(1, 1, 2))
+        p = tmp_path / "vol.json"
+        write_raw_json(v, str(p))
+        doc = json.loads(p.read_text())
+        doc["spacing"] = spacing
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError, match="spacing"):
             read_raw_json(str(p))
 
     def test_nonfinite_volume_payload_warns(self, tmp_path):
