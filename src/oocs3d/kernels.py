@@ -118,32 +118,14 @@ def _dog_profile(spec: KernelSpec, sigma: float):
     return value
 
 
-def sample_dog(spec: KernelSpec, oversample: int = 1) -> np.ndarray:
+def sample_dog(spec: KernelSpec) -> np.ndarray:
     """Sample the unbalanced DoG on the k^dims integer offset grid.
 
     Each symmetry orbit (offsets equal up to axis permutation and sign)
     is evaluated once and replicated, so radial symmetry holds bit-exactly.
-    `oversample` > 1 averages an oversample^dims sub-voxel midpoint grid
-    per entry instead of point sampling.
     """
-    if int(oversample) != oversample or oversample < 1:
-        raise DomainError(f"oversample must be a positive integer, got {oversample!r}")
-    oversample = int(oversample)
     _, _, sigma = _geometry(spec)
     value = _dog_profile(spec, sigma)
-    if oversample == 1:
-        def evaluate(pos):
-            return value(float(sum(c * c for c in pos)))
-    else:
-        offs = (np.arange(oversample) + 0.5) / oversample - 0.5
-        grids = np.meshgrid(*([offs] * spec.dims), indexing="ij")
-        sub = np.stack(grids, axis=-1).reshape(-1, spec.dims)
-
-        def evaluate(pos):
-            pts = sub + np.asarray(pos, dtype=np.float64)
-            rho2 = np.sum(pts * pts, axis=1)
-            return float(np.mean([value(float(r)) for r in rho2]))
-
     m = (spec.k - 1) // 2
     shape = (spec.k,) * spec.dims
     out = np.empty(shape)
@@ -152,7 +134,7 @@ def sample_dog(spec: KernelSpec, oversample: int = 1) -> np.ndarray:
         pos = tuple(i - m for i in idx)
         key = tuple(sorted((abs(c) for c in pos), reverse=True))
         if key not in cache:
-            cache[key] = evaluate(key)
+            cache[key] = value(float(sum(c * c for c in key)))
         out[idx] = cache[key]
     return out
 

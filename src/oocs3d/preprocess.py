@@ -4,7 +4,8 @@ Resampling maps voxel centers: output index j on an axis with input
 spacing s_in and target spacing s_t samples the input at
 u = (j + 0.5) * s_t / s_in - 0.5, clamped to the valid index range, so
 the two grids share their physical origin at the first voxel's leading
-edge.  Images interpolate trilinearly, masks take the nearest voxel.
+edge.  Each axis is its own 1-D pass: images interpolate linearly
+(trilinear overall), masks take voxel floor(u + 0.5), so ties round up.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ._geom import resample_affine, rigid_index_map
 from .errors import DimensionError, DomainError, NormalizationError, ResampleError
@@ -21,37 +21,48 @@ from .rng import make_rng
 from .tensor import BinaryMask, Volume, _check_spacing
 
 
-def _resample_grid(in_shape, in_spacing, target_spacing):
+def _order(obj) -> int:
+    """Interpolation order: 1 for a Volume, 0 (nearest) for a BinaryMask; raises otherwise."""
+    if isinstance(obj, BinaryMask):
+        return 0
+    if isinstance(obj, Volume):
+        return 1
+    raise DimensionError(f"expected a Volume or BinaryMask, got {type(obj).__name__}")
+
+
+def _resample(obj, target_spacing):
+    ts = _check_spacing(target_spacing)
+    order = _order(obj)
     out_shape = tuple(
-        int(math.floor(n * s / t + 0.5))
-        for n, s, t in zip(in_shape, in_spacing, target_spacing)
+        int(math.floor(n * s / t + 0.5)) for n, s, t in zip(obj.shape, obj.spacing, ts)
     )
     if any(n < 1 for n in out_shape):
-        raise ResampleError(
-            f"target spacing {tuple(target_spacing)} collapses shape {tuple(in_shape)} to {out_shape}"
-        )
-    axes = []
-    for n_in, s_in, s_t, n_out in zip(in_shape, in_spacing, target_spacing, out_shape):
-        u = (np.arange(n_out, dtype=np.float64) + 0.5) * (s_t / s_in) - 0.5
-        axes.append(np.clip(u, 0.0, n_in - 1.0))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return out_shape, np.stack(grids)
+        raise ResampleError(f"target spacing {ts} collapses shape {obj.shape} to {out_shape}")
+    out = obj.data
+    for axis, (n_in, s_in, s_t, n_out) in enumerate(zip(obj.shape, obj.spacing, ts, out_shape)):
+        u = np.clip((np.arange(n_out) + 0.5) * (s_t / s_in) - 0.5, 0.0, n_in - 1.0)
+        if order == 0:
+            out = np.take(out, np.floor(u + 0.5).astype(np.intp), axis=axis)
+            continue
+        i0 = np.floor(u).astype(np.intp)
+        f = (u - i0).reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+        # (1 - f) * lo + f * hi, computed in place to spare two full-size temporaries
+        hi = np.take(out, np.minimum(i0 + 1, n_in - 1), axis=axis)
+        hi *= f
+        out = np.take(out, i0, axis=axis)
+        out *= 1.0 - f
+        out += hi
+    return type(obj)(out, ts)
 
 
 def resample(v: Volume, target_spacing) -> Volume:
     """Trilinear resample onto an isotropic-or-not target spacing."""
-    ts = _check_spacing(target_spacing)
-    _, coords = _resample_grid(v.shape, v.spacing, ts)
-    out = ndimage.map_coordinates(v.data, coords, order=1, mode="nearest")
-    return Volume(out, ts)
+    return _resample(v, target_spacing)
 
 
 def resample_mask(m: BinaryMask, target_spacing) -> BinaryMask:
-    """Nearest-neighbor resample; output stays strictly binary."""
-    ts = _check_spacing(target_spacing)
-    _, coords = _resample_grid(m.shape, m.spacing, ts)
-    out = ndimage.map_coordinates(m.data.astype(np.uint8), coords, order=0, mode="nearest")
-    return BinaryMask(out != 0, ts)
+    """Nearest-neighbor resample (ties round up); output stays strictly binary."""
+    return _resample(m, target_spacing)
 
 
 def zscore(v: Volume) -> Volume:
@@ -75,52 +86,51 @@ def _crop_pad_indices(n: int, t: int) -> tuple[slice, tuple[int, int]]:
     return slice(0, n), (lo, t - n - lo)
 
 
+def _crop_or_pad(obj, target_shape):
+    _order(obj)
+    t = tuple(int(x) for x in target_shape)
+    if len(t) != 3 or any(x < 1 for x in t):
+        raise DomainError(f"target shape must be three positive integers, got {target_shape!r}")
+    slices, pads = zip(*(_crop_pad_indices(n, ti) for n, ti in zip(obj.shape, t)))
+    return type(obj)(np.pad(obj.data[tuple(slices)], pads), obj.spacing)
+
+
 def crop_or_pad(v: Volume, target_shape) -> Volume:
     """Center-crop or zero-pad each axis to `target_shape`.
 
     Cropping keeps the central window starting at (n - t) // 2; padding
     puts (t - n) // 2 zeros before the data and the remainder after.
     """
-    t = tuple(int(x) for x in target_shape)
-    if len(t) != 3 or any(x < 1 for x in t):
-        raise DomainError(f"target shape must be three positive integers, got {target_shape!r}")
-    slices, pads = zip(*(_crop_pad_indices(n, ti) for n, ti in zip(v.shape, t)))
-    return Volume(np.pad(v.data[tuple(slices)], pads), v.spacing)
+    return _crop_or_pad(v, target_shape)
 
 
 def crop_or_pad_mask(m: BinaryMask, target_shape) -> BinaryMask:
-    t = tuple(int(x) for x in target_shape)
-    if len(t) != 3 or any(x < 1 for x in t):
-        raise DomainError(f"target shape must be three positive integers, got {target_shape!r}")
-    slices, pads = zip(*(_crop_pad_indices(n, ti) for n, ti in zip(m.shape, t)))
-    return BinaryMask(np.pad(m.data[tuple(slices)], pads, constant_values=False), m.spacing)
+    """Same window as `crop_or_pad`, padding with False."""
+    return _crop_or_pad(m, target_shape)
 
 
 def flip_axial(obj):
     """Mirror a Volume or BinaryMask along the W axis."""
-    flipped = np.flip(obj.data, axis=2).copy()
-    if isinstance(obj, Volume):
-        return Volume(flipped, obj.spacing)
-    if isinstance(obj, BinaryMask):
-        return BinaryMask(flipped, obj.spacing)
-    raise DimensionError(f"flip_axial expects Volume or BinaryMask, got {type(obj).__name__}")
+    _order(obj)
+    return type(obj)(np.flip(obj.data, axis=2), obj.spacing)
+
+
+def _affine(obj, scale, rot_deg, trans_mm):
+    order = _order(obj)
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise DomainError(f"scale must be positive, got {scale!r}")
+    matrix, offset = rigid_index_map(obj.shape, obj.spacing, rot_deg, trans_mm, scale)
+    return type(obj)(resample_affine(obj.data, matrix, offset, order), obj.spacing)
 
 
 def affine_volume(v: Volume, scale=1.0, rot_deg=(0.0, 0.0, 0.0), trans_mm=(0.0, 0.0, 0.0)) -> Volume:
     """Scaled rigid transform about the volume center; trilinear, zeros outside."""
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    matrix, offset = rigid_index_map(v.shape, v.spacing, rot_deg, trans_mm, scale)
-    return Volume(resample_affine(v.data, matrix, offset, order=1), v.spacing)
+    return _affine(v, scale, rot_deg, trans_mm)
 
 
 def affine_mask(m: BinaryMask, scale=1.0, rot_deg=(0.0, 0.0, 0.0), trans_mm=(0.0, 0.0, 0.0)) -> BinaryMask:
     """Same geometry as `affine_volume`, nearest-neighbor, False outside."""
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    matrix, offset = rigid_index_map(m.shape, m.spacing, rot_deg, trans_mm, scale)
-    out = resample_affine(m.data.astype(np.uint8), matrix, offset, order=0)
-    return BinaryMask(out != 0, m.spacing)
+    return _affine(m, scale, rot_deg, trans_mm)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ formatting, so writing the same object twice yields identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 
@@ -185,19 +186,9 @@ def read_mha(path: str):
     if inline is None:
         with open(_sibling(path, fields["ElementDataFile"], "ElementDataFile"), "rb") as f:
             inline = f.read()
-    expected = w * h * d * dtype.itemsize
-    if len(inline) != expected:
-        raise CorruptFileError(f"payload holds {len(inline)} bytes, header implies {expected}")
     # disk order is x-fastest, so the flat buffer reshapes directly to (D, H, W)
-    arr = np.frombuffer(inline, dtype=dtype).reshape(d, h, w)
-    spacing = (sz, sy, sx)
-    if element_type == "MET_UCHAR" and np.isin(arr, (0, 1)).all():
-        return BinaryMask(arr != 0, spacing)
-    values = arr.astype(np.float64)
-    if not np.isfinite(values).all():
-        warnings.warn(f"volume read from {path!r} contains non-finite values")
-        return Volume(values, spacing, check_finite=False)
-    return Volume(values, spacing)
+    mask = None if element_type == "MET_UCHAR" else False
+    return _load_payload(inline, dtype, (d, h, w), (sz, sy, sx), mask, path)
 
 
 def write_raw_json(obj, json_path: str) -> None:
@@ -234,12 +225,12 @@ def read_raw_json(json_path: str):
     with open(json_path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
             raise CorruptFileError(f"malformed JSON sidecar: {exc}") from exc
     try:
         kind = doc["kind"]
         dtype = doc["dtype"]
-        shape = tuple(int(n) for n in doc["shape"])
+        shape = doc["shape"]
         spacing = tuple(float(s) for s in doc["spacing"])
         raw_name = doc["raw_file"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -248,23 +239,35 @@ def read_raw_json(json_path: str):
         raise UnsupportedFormatError(f"unsupported kind {kind!r}")
     if (kind, dtype) not in (("image", "float64"), ("mask", "uint8")):
         raise UnsupportedFormatError(f"unsupported dtype {dtype!r} for kind {kind!r}")
-    if len(shape) != 3 or min(shape) < 1:
-        raise CorruptFileError(f"shape must be three positive integers, got {doc['shape']!r}")
+    # JSON true/false parse as bool, a subclass of int; they are not sizes
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(n) is int and n >= 1 for n in shape)):
+        raise CorruptFileError(f"shape must be three positive integers, got {shape!r}")
     if len(spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in spacing):
         raise CorruptFileError(f"spacing must be three positive numbers, got {doc['spacing']!r}")
     with open(_sibling(json_path, raw_name, "raw_file"), "rb") as f:
         payload = f.read()
     np_dtype = np.dtype("<f8") if kind == "image" else np.dtype("u1")
-    expected = int(np.prod(shape)) * np_dtype.itemsize
+    return _load_payload(payload, np_dtype, tuple(shape), spacing, kind == "mask", json_path)
+
+
+def _load_payload(payload: bytes, dtype: np.dtype, shape, spacing, mask, path: str):
+    """Decode a little-endian payload of `shape` into a BinaryMask or a Volume.
+
+    `mask` True requires 0/1 values, None makes 0/1 values a mask and other
+    values a volume, False always makes a volume (non-finite values warn).
+    """
+    # Python integers: a numpy product of huge header sizes can wrap around
+    expected = math.prod(shape) * dtype.itemsize
     if len(payload) != expected:
-        raise CorruptFileError(f"payload holds {len(payload)} bytes, sidecar implies {expected}")
-    arr = np.frombuffer(payload, dtype=np_dtype).reshape(shape)
-    if kind == "mask":
-        if not np.isin(arr, (0, 1)).all():
+        raise CorruptFileError(f"payload holds {len(payload)} bytes, header implies {expected}")
+    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    if mask is not False:
+        if np.isin(arr, (0, 1)).all():
+            return BinaryMask(arr != 0, spacing)
+        if mask:
             raise CorruptFileError("mask payload contains values other than 0 and 1")
-        return BinaryMask(arr != 0, spacing)
     values = arr.astype(np.float64)
     if not np.isfinite(values).all():
-        warnings.warn(f"volume read from {json_path!r} contains non-finite values")
-        return Volume(values, spacing, check_finite=False)
-    return Volume(values, spacing)
+        warnings.warn(f"volume read from {path!r} contains non-finite values")
+    return Volume(values, spacing, check_finite=False)  # checked just above

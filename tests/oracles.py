@@ -9,6 +9,7 @@ import from the modules they are used to check beyond the data types.
 """
 
 import numpy as np
+from scipy import ndimage
 
 
 def naive_conv3d(x, w, bias=None, padding="same_zero"):
@@ -98,6 +99,25 @@ def fftn_motion_splice(copies):
         hi = (j + 1) * base if j < n_slabs - 1 else d
         composite[j * base:hi] = spectrum[j * base:hi]
     return np.fft.ifftn(composite).real
+
+
+def map_coordinates_resample(data, spacing, target, order):
+    """Voxel-center resampling through one dense coordinate grid.
+
+    Output index j on an axis of n voxels at spacing s, for target
+    spacing t, samples u = clip((j + 0.5) * t / s - 0.5, 0, n - 1); the
+    output has floor(n * s / t + 0.5) voxels.  All points go to scipy's
+    map_coordinates at once: order 1 interpolates trilinearly, order 0
+    takes the nearest voxel of a 0/1 uint8 copy and returns booleans.
+    """
+    axes = []
+    for n, s, t in zip(data.shape, spacing, target):
+        m = int(np.floor(n * s / t + 0.5))
+        axes.append(np.clip((np.arange(m, dtype=np.float64) + 0.5) * (t / s) - 0.5, 0.0, n - 1.0))
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"))
+    if order == 0:
+        return ndimage.map_coordinates(data.astype(np.uint8), coords, order=0, mode="nearest") != 0
+    return ndimage.map_coordinates(data, coords, order=order, mode="nearest")
 
 
 def brute_hausdorff_mm(mask_a, mask_b, spacing):

@@ -425,6 +425,13 @@ class TestTopLevel:
         assert rc == 3
         assert "spacing" in caplog.text
 
+    def test_non_utf8_sidecar_is_io_error(self, capsys, caplog, tmp_path):
+        ref = tmp_path / "ref.json"
+        ref.write_bytes(b"\xff\xfe{\x00}\x00")
+        rc, _, _ = _run(capsys, "eval", "--pred", str(ref), "--ref", str(ref))
+        assert rc == 3
+        assert "sidecar" in caplog.text
+
     def test_invalid_threads_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("OOCS_THREADS", "zero")
         rc, _, _ = _run(capsys, "kernel", "--k", "3")

@@ -18,6 +18,8 @@ from oocs3d.preprocess import (
 )
 from oocs3d.tensor import BinaryMask, Volume
 
+from oracles import map_coordinates_resample
+
 
 class TestResample:
     def test_identity_spacing_is_exact(self):
@@ -82,6 +84,31 @@ class TestResample:
             resample(v, (100.0, 100.0, 100.0))
         with pytest.raises(DomainError):
             resample(v, (0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "shape, spacing, target",
+        [
+            ((5, 6, 7), (0.7, 1.1, 1.3), (0.7, 1.1, 1.3)),
+            ((12, 9, 10), (1.5, 1.0, 1.0), (1.0, 1.0, 1.0)),
+            ((10, 12, 9), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)),  # every u is an exact .5 tie
+            ((7, 5, 6), (1.0, 1.0, 1.0), (0.5, 0.5, 0.5)),
+            ((13, 17, 11), (1.3, 0.7, 2.1), (0.9, 1.1, 1.7)),
+            ((3, 6, 6), (1.0, 1.0, 1.0), (2.5, 1.0, 1.0)),
+        ],
+        ids=["identity", "anisotropic_to_1mm", "downsample_2", "upsample_2", "odd_ratios",
+             "axis_to_1_voxel"],
+    )
+    def test_matches_dense_grid_oracle(self, shape, spacing, target):
+        rng = np.random.default_rng(193)
+        image = rng.normal(50.0, 30.0, size=shape)
+        mask = rng.random(size=shape) < 0.5
+        want_v = map_coordinates_resample(image, spacing, target, order=1)
+        want_m = map_coordinates_resample(mask, spacing, target, order=0)
+        out_v = resample(Volume(image, spacing), target)
+        out_m = resample_mask(BinaryMask(mask, spacing), target)
+        assert out_v.shape == want_v.shape
+        assert np.abs(out_v.data - want_v).max() <= 1e-12 * np.abs(want_v).max()
+        np.testing.assert_array_equal(out_m.data, want_m)
 
 
 class TestZscore:

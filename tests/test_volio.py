@@ -271,6 +271,33 @@ class TestRawJson:
         with pytest.raises(CorruptFileError):
             read_raw_json(str(p))
 
+    def test_non_utf8_sidecar_rejected(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(CorruptFileError):
+            read_raw_json(str(p))
+
+    @pytest.mark.parametrize(
+        "shape, payload, match",
+        [
+            ("[1e400, 1, 1]", 8, "shape"),  # parses as an infinite float
+            ("[1.5, 1, 1]", 8, "shape"),
+            ("[true, 1, 1]", 8, "shape"),
+            # a fixed-width product of these sizes wraps around to 0 bytes
+            (f"[{2**62}, {2**62}, 4]", 0, "payload holds 0 bytes"),
+        ],
+    )
+    def test_shape_must_be_three_json_integers(self, tmp_path, shape, payload, match):
+        v = _volume(np.random.default_rng(271), shape=(1, 1, 1))
+        p = tmp_path / "vol.json"
+        write_raw_json(v, str(p))
+        doc = json.loads(p.read_text())
+        (tmp_path / doc["raw_file"]).write_bytes(b"\x00" * payload)
+        doc["shape"] = "SHAPE"
+        p.write_text(json.dumps(doc).replace('"SHAPE"', shape))
+        with pytest.raises(CorruptFileError, match=match):
+            read_raw_json(str(p))
+
     def test_unknown_kind_rejected(self, tmp_path):
         v = _volume(np.random.default_rng(239), shape=(1, 1, 1))
         p = tmp_path / "vol.json"
