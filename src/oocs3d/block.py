@@ -7,6 +7,15 @@ kernel (On for one pathway, Off for the other), then a ReLU, a second
 learnable convolution, and a final ReLU.  The two pathway outputs are
 concatenated channel-wise, On first.
 
+The fixed weights are lifted: every (output, input) channel pair holds
+the same kernel P = K / c_in.  So every channel of the On injection is
+one response R, the cross-correlation of P with the channel sum of the
+input, and every channel of the Off injection is -R.  The block computes
+R once, with one single-channel convolution, and adds it as +R to the
+On pre-activation and as -R to the Off one; -R is an exact negation, so
+Off stays bit-exactly antisymmetric.  For the same reason the backward
+pass sends one single-channel map through the flipped kernel.
+
 The fixed kernels are excluded from every gradient path: the backward
 pass produces no entry for them at all, so the block trains exactly as
 many parameters as the same two-pathway block without the injections.
@@ -95,6 +104,9 @@ class OocsBlockParams:
             raise DimensionError("fixed On/Off weights must share a shape")
         if not np.array_equal(self.fixed_off.data, -self.fixed_on.data):
             raise ConfigError("fixed Off weights must be the exact negation of the fixed On weights")
+        # the block computes one shared response from the (0, 0) slice
+        if not (self.fixed_on.data == self.fixed_on.data[:1, :1]).all():
+            raise ConfigError("fixed weights must hold the same kernel on every channel pair")
         for a, b in ((self.w1_on, self.w1_off), (self.w2_on, self.w2_off)):
             if a.data.shape != b.data.shape:
                 raise DimensionError("paired pathway weights must share a shape")
@@ -120,9 +132,7 @@ class BlockCache:
 
     x: FeatureMap
     pre1_on: np.ndarray
-    a1_on: np.ndarray
     pre1_off: np.ndarray
-    a1_off: np.ndarray
     pre2_on: np.ndarray
     pre2_off: np.ndarray
 
@@ -160,22 +170,14 @@ def block_forward(
         raise DimensionError(f"input has {x.channels} channels, block expects {cfg.c_in}")
     if params.w1_on.c_in != cfg.c_in or params.w1_on.c_out != cfg.c_half:
         raise DimensionError("params do not match the block config")
-    pre1_on = conv3d_forward(x, params.w1_on).data + conv3d_forward(x, params.fixed_on).data
-    pre1_off = conv3d_forward(x, params.w1_off).data + conv3d_forward(x, params.fixed_off).data
-    a1_on = _relu(pre1_on)
-    a1_off = _relu(pre1_off)
-    pre2_on = conv3d_forward(FeatureMap(a1_on), params.w2_on).data
-    pre2_off = conv3d_forward(FeatureMap(a1_off), params.w2_off).data
+    x_sum = FeatureMap(x.data.sum(axis=0, keepdims=True))
+    r = conv3d_forward(x_sum, ConvWeights(params.fixed_on.data[:1, :1])).data
+    pre1_on = conv3d_forward(x, params.w1_on).data + r
+    pre1_off = conv3d_forward(x, params.w1_off).data - r
+    pre2_on = conv3d_forward(FeatureMap(_relu(pre1_on)), params.w2_on).data
+    pre2_off = conv3d_forward(FeatureMap(_relu(pre1_off)), params.w2_off).data
     y = FeatureMap(np.concatenate([_relu(pre2_on), _relu(pre2_off)], axis=0))
-    cache = BlockCache(
-        x=x,
-        pre1_on=pre1_on,
-        a1_on=a1_on,
-        pre1_off=pre1_off,
-        a1_off=a1_off,
-        pre2_on=pre2_on,
-        pre2_off=pre2_off,
-    )
+    cache = BlockCache(x=x, pre1_on=pre1_on, pre1_off=pre1_off, pre2_on=pre2_on, pre2_off=pre2_off)
     return y, cache
 
 
@@ -185,7 +187,10 @@ def block_backward(
     """Analytic gradients for the input and the learnable tensors.
 
     The fixed injections contribute to the input gradient (they sit on
-    the forward path) but receive no weight gradient of their own.
+    the forward path) but receive no weight gradient of their own.  Their
+    part is the adjoint of the shared response R: the map
+    sum_o g_pre1_on[o] - sum_o g_pre1_off[o], correlated with P flipped on
+    all three spatial axes, added to every input channel.
     """
     ch = cfg.c_half
     spatial = cache.x.data.shape[1:]
@@ -194,24 +199,23 @@ def block_backward(
             f"grad_y shape {grad_y.data.shape} does not match block output {(cfg.c_out,) + spatial}"
         )
 
-    def half_backward(g_a2, pre2, a1, pre1, w2, w1, fixed):
+    def half_backward(g_a2, pre2, pre1, w2, w1):
         g_pre2 = g_a2 * (pre2 > 0.0)
-        g_a1, g_w2 = conv3d_backward(FeatureMap(a1), w2, FeatureMap(g_pre2))
-        g_pre1 = FeatureMap(g_a1.data * (pre1 > 0.0))
-        g_x_learn, g_w1 = conv3d_backward(cache.x, w1, g_pre1)
-        g_x_fixed, _ = conv3d_backward(cache.x, fixed, g_pre1)
-        return g_x_learn.data + g_x_fixed.data, g_w1, g_w2
+        g_a1, g_w2 = conv3d_backward(FeatureMap(_relu(pre1)), w2, FeatureMap(g_pre2))
+        g_pre1 = g_a1.data * (pre1 > 0.0)
+        g_x, g_w1 = conv3d_backward(cache.x, w1, FeatureMap(g_pre1))
+        return g_x.data, g_pre1.sum(axis=0), g_w1, g_w2
 
-    gx_on, g_w1_on, g_w2_on = half_backward(
-        grad_y.data[:ch], cache.pre2_on, cache.a1_on, cache.pre1_on,
-        params.w2_on, params.w1_on, params.fixed_on,
+    gx_on, s_on, g_w1_on, g_w2_on = half_backward(
+        grad_y.data[:ch], cache.pre2_on, cache.pre1_on, params.w2_on, params.w1_on
     )
-    gx_off, g_w1_off, g_w2_off = half_backward(
-        grad_y.data[ch:], cache.pre2_off, cache.a1_off, cache.pre1_off,
-        params.w2_off, params.w1_off, params.fixed_off,
+    gx_off, s_off, g_w1_off, g_w2_off = half_backward(
+        grad_y.data[ch:], cache.pre2_off, cache.pre1_off, params.w2_off, params.w1_off
     )
+    flipped = ConvWeights(params.fixed_on.data[:1, :1, ::-1, ::-1, ::-1])
+    gx_fixed = conv3d_forward(FeatureMap((s_on - s_off)[None]), flipped).data
     grads = BlockGrads(w1_on=g_w1_on, w1_off=g_w1_off, w2_on=g_w2_on, w2_off=g_w2_off)
-    return FeatureMap(gx_on + gx_off), grads
+    return FeatureMap(gx_on + gx_off + gx_fixed), grads
 
 
 def learnable_param_count(params: OocsBlockParams) -> int:

@@ -123,16 +123,15 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_filter(args) -> int:
     from .kernels import KernelSpec, make_kernel
-    from .tensor import ConvWeights, FeatureMap, conv3d_forward
+    from .tensor import ConvWeights, FeatureMap, Volume, conv3d_forward
 
     spec = KernelSpec(k=args.k, gamma=args.gamma, c=args.c, dims=3)
     v = _read_volume(args.image)
-    x = FeatureMap.from_volume(v)
-    for polarity, out_path in (("on", args.out_on), ("off", args.out_off)):
-        kern = make_kernel(spec, polarity)
-        w = ConvWeights(kern.weights[None, None])
-        response = conv3d_forward(x, w, padding=args.padding)
-        _write_any(response.to_volume(v.spacing), out_path)
+    w = ConvWeights(make_kernel(spec, "on").weights[None, None])
+    on = conv3d_forward(FeatureMap.from_volume(v), w, padding=args.padding).to_volume(v.spacing)
+    _write_any(on, args.out_on)
+    # the Off kernel is the exact negation of the On kernel, so is its response
+    _write_any(Volume(-on.data, v.spacing), args.out_off)
     return 0
 
 

@@ -225,7 +225,8 @@ def read_raw_json(json_path: str):
     with open(json_path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        # malformed JSON, bytes that are not UTF-8, or nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise CorruptFileError(f"malformed JSON sidecar: {exc}") from exc
     try:
         kind = doc["kind"]

@@ -19,9 +19,9 @@ from oocs3d.block import (
 from oocs3d.errors import ConfigError, DimensionError
 from oocs3d.kernels import KernelSpec, make_kernel
 from oocs3d.rng import make_rng
-from oocs3d.tensor import ConvWeights, FeatureMap, conv3d_forward
+from oocs3d.tensor import ConvWeights, FeatureMap, conv3d_backward, conv3d_forward
 
-from oracles import max_rel_err, naive_block_forward
+from oracles import max_rel_err, naive_block_forward, naive_conv3d
 
 
 def _zeroed_learnables(params):
@@ -135,23 +135,19 @@ class TestForward:
         assert np.abs(y.data - want).max() < 1e-12
 
     def test_fixed_injections_are_antisymmetric(self):
-        # giving both halves identical learnables isolates the fixed
-        # kernels: the two pre-activations must mirror around the shared
-        # learnable response, bit for bit
-        cfg = OocsBlockConfig(c_in=2, c_out=4)
-        params = init_block_params(cfg, seed=11)
-        params = dataclasses.replace(
-            params,
-            w1_off=ConvWeights(params.w1_on.data.copy(), bias=params.w1_on.bias.copy()),
-        )
+        # with the learnables zeroed only the fixed kernels act: the Off
+        # pre-activation must be the On one negated, bit for bit, every
+        # channel must carry the same response, and that response must be
+        # the lifted On conv of the input
+        cfg = OocsBlockConfig(c_in=2, c_out=6)
+        params = _zeroed_learnables(init_block_params(cfg, seed=11))
         x = FeatureMap(np.random.default_rng(11).normal(size=(2, 5, 5, 5)))
         _, cache = block_forward(x, params, cfg)
-        shared = conv3d_forward(x, params.w1_on).data
-        inj_on = conv3d_forward(x, params.fixed_on).data
-        inj_off = conv3d_forward(x, params.fixed_off).data
-        np.testing.assert_array_equal(inj_off, -inj_on)
-        np.testing.assert_array_equal(cache.pre1_on, shared + inj_on)
-        np.testing.assert_array_equal(cache.pre1_off, shared - inj_on)
+        assert cache.pre1_off.tobytes() == (-cache.pre1_on).tobytes()
+        for ch in range(1, cfg.c_half):
+            assert cache.pre1_on[ch].tobytes() == cache.pre1_on[0].tobytes()
+        want = naive_conv3d(x.data, params.fixed_on.data)
+        assert np.abs(cache.pre1_on - want).max() <= 1e-12
 
     def test_perturbing_fixed_changes_output(self):
         cfg = OocsBlockConfig(c_in=1, c_out=4)
@@ -169,6 +165,59 @@ class TestForward:
         params = init_block_params(cfg, seed=0)
         with pytest.raises(DimensionError):
             block_forward(FeatureMap(np.zeros((3, 5, 5, 5))), params, cfg)
+
+
+def _with_fixed_kernel(params, cfg, kernel):
+    """`params` with `kernel` lifted onto every channel pair of the fixed weights."""
+    on = np.broadcast_to(kernel / cfg.c_in, params.fixed_on.data.shape)
+    return dataclasses.replace(params, fixed_on=ConvWeights(on), fixed_off=ConvWeights(-on))
+
+
+def _lifted_input_grad(grad_y, cache, params, cfg):
+    """The input gradient with each fixed injection run as a lifted multichannel conv."""
+    ch = cfg.c_half
+    total = np.zeros_like(cache.x.data)
+    for g_a2, pre2, pre1, w2, w1, fixed in (
+        (grad_y[:ch], cache.pre2_on, cache.pre1_on, params.w2_on, params.w1_on, params.fixed_on),
+        (grad_y[ch:], cache.pre2_off, cache.pre1_off, params.w2_off, params.w1_off, params.fixed_off),
+    ):
+        g_a1, _ = conv3d_backward(FeatureMap(np.maximum(pre1, 0.0)), w2, FeatureMap(g_a2 * (pre2 > 0.0)))
+        g_pre1 = FeatureMap(g_a1.data * (pre1 > 0.0))
+        total += conv3d_backward(cache.x, w1, g_pre1)[0].data
+        total += conv3d_backward(cache.x, fixed, g_pre1)[0].data
+    return total
+
+
+class TestSharedFixedResponse:
+    """One fixed response, added as +R and -R, against the lifted formulation."""
+
+    @pytest.mark.parametrize("kernel", ["dog", "asymmetric"])
+    @pytest.mark.parametrize("k_oocs", [3, 5])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    def test_forward_and_input_grad_match_lifted(self, c_in, k_oocs, kernel):
+        # the asymmetric kernel makes a missing spatial flip visible
+        cfg = OocsBlockConfig(c_in=c_in, c_out=4, k_oocs=k_oocs)
+        params = init_block_params(cfg, seed=31 + c_in)
+        rng = np.random.default_rng(31 + k_oocs)
+        if kernel == "asymmetric":
+            params = _with_fixed_kernel(params, cfg, rng.normal(size=(k_oocs,) * 3))
+        x = FeatureMap(rng.normal(size=(c_in, 5, 6, 7)))
+        y, cache = block_forward(x, params, cfg)
+        assert np.abs(y.data - naive_block_forward(x.data, params, cfg)).max() <= 1e-12
+        g_y = rng.normal(size=y.data.shape)
+        gx, _ = block_backward(FeatureMap(g_y), cache, params, cfg)
+        want = _lifted_input_grad(g_y, cache, params, cfg)
+        assert np.abs(gx.data - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("c_in", [1, 3])
+    def test_unequal_channel_pair_rejected(self, c_in):
+        # the negation still holds, but one (o, i) slice differs from the rest
+        cfg = OocsBlockConfig(c_in=c_in, c_out=4)
+        params = init_block_params(cfg, seed=37)
+        broken = params.fixed_on.data.copy()
+        broken[1, c_in - 1] *= 1.5
+        with pytest.raises(ConfigError, match="every channel pair"):
+            dataclasses.replace(params, fixed_on=ConvWeights(broken), fixed_off=ConvWeights(-broken))
 
 
 class TestBackward:

@@ -136,6 +136,28 @@ class TestFilterCommand:
         on = read_raw_json(str(on_p))
         assert np.abs(on.data - want).max() < 1e-9
 
+    @pytest.mark.parametrize("ext", [".mha", ".json"])
+    @pytest.mark.parametrize("padding", ["same_zero", "valid"])
+    def test_off_matches_direct_convolution(self, capsys, tmp_path, padding, ext):
+        rng = np.random.default_rng(271)
+        data = rng.normal(size=(6, 7, 8))
+        p, _ = self._write_volume(tmp_path, data)
+        on_p = tmp_path / f"on{ext}"
+        off_p = tmp_path / f"off{ext}"
+        rc = main([
+            "filter", "--in", str(p), "--out-on", str(on_p),
+            "--out-off", str(off_p), "--k", "5", "--padding", padding,
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        read = read_mha if ext == ".mha" else read_raw_json
+        for polarity, path in (("on", on_p), ("off", off_p)):
+            kern = make_kernel(KernelSpec(k=5), polarity).weights
+            want = naive_conv3d(data[None], kern[None, None], None, padding)[0]
+            got = read(str(path)).data
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-9
+
     def test_sphere_phantom_rim_is_positive(self, capsys, tmp_path):
         # On-center voxels just inside the boundary see the dark outside
         # through their negative surround, so their response is positive;
@@ -428,6 +450,13 @@ class TestTopLevel:
     def test_non_utf8_sidecar_is_io_error(self, capsys, caplog, tmp_path):
         ref = tmp_path / "ref.json"
         ref.write_bytes(b"\xff\xfe{\x00}\x00")
+        rc, _, _ = _run(capsys, "eval", "--pred", str(ref), "--ref", str(ref))
+        assert rc == 3
+        assert "sidecar" in caplog.text
+
+    def test_deeply_nested_sidecar_is_io_error(self, capsys, caplog, tmp_path):
+        ref = tmp_path / "ref.json"
+        ref.write_text("[" * 100_000 + "]" * 100_000)
         rc, _, _ = _run(capsys, "eval", "--pred", str(ref), "--ref", str(ref))
         assert rc == 3
         assert "sidecar" in caplog.text

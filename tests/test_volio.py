@@ -277,6 +277,13 @@ class TestRawJson:
         with pytest.raises(CorruptFileError):
             read_raw_json(str(p))
 
+    def test_deeply_nested_sidecar_rejected(self, tmp_path):
+        # deep enough to exhaust the JSON decoder's recursion
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(CorruptFileError, match="sidecar"):
+            read_raw_json(str(p))
+
     @pytest.mark.parametrize(
         "shape, payload, match",
         [
