@@ -7,14 +7,14 @@ kernel (On for one pathway, Off for the other), then a ReLU, a second
 learnable convolution, and a final ReLU.  The two pathway outputs are
 concatenated channel-wise, On first.
 
-The fixed weights are lifted: every (output, input) channel pair holds
-the same kernel P = K / c_in.  So every channel of the On injection is
-one response R, the cross-correlation of P with the channel sum of the
-input, and every channel of the Off injection is -R.  The block computes
-R once, with one single-channel convolution, and adds it as +R to the
-On pre-activation and as -R to the Off one; -R is an exact negation, so
-Off stays bit-exactly antisymmetric.  For the same reason the backward
-pass sends one single-channel map through the flipped kernel.
+The parameters store the balanced On kernel K once.  Lifted, every
+(output, input) channel pair holds P = K / c_in, so every On channel is
+one response R, the cross-correlation of P with the input's channel
+sum, and every Off channel is -R.  The block computes R once, with one
+single-channel convolution, and adds it as +R to the On pre-activation
+and as -R to the Off one; -R is an exact negation, so Off stays
+bit-exactly antisymmetric.  For the same reason the backward pass sends
+one single-channel map through the flipped kernel.
 
 The fixed kernels are excluded from every gradient path: the backward
 pass produces no entry for them at all, so the block trains exactly as
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .kernels import BalancedKernel, KernelSpec, make_kernel
+from .kernels import KernelSpec, make_kernel
 from .rng import make_rng
 from .tensor import ConvWeights, FeatureMap, conv3d_backward, conv3d_forward
 
@@ -46,7 +46,6 @@ class OocsBlockConfig:
     k_oocs: int = 3
     gamma: float = 2.0 / 3.0
     c: float = 3.0
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.c_in < 1:
@@ -57,10 +56,8 @@ class OocsBlockConfig:
             raise ConfigError(f"k_learn must be odd and >= 1, got {self.k_learn}")
         if self.k_oocs not in (3, 5):
             raise ConfigError(f"k_oocs must be 3 or 5, got {self.k_oocs}")
-        if self.activation != "relu":
-            raise ConfigError(f"only 'relu' activation is supported, got {self.activation!r}")
         # delegates gamma/c range checks
-        KernelSpec(k=self.k_oocs, gamma=self.gamma, c=self.c, dims=3)
+        self.kernel_spec()
 
     @property
     def c_half(self) -> int:
@@ -70,50 +67,48 @@ class OocsBlockConfig:
         return KernelSpec(k=self.k_oocs, gamma=self.gamma, c=self.c, dims=3)
 
 
-def lift_kernel(kern: BalancedKernel, c_in: int, c_out: int) -> ConvWeights:
-    """Lift a single 3D kernel to (c_out, c_in) conv weights.
+def lift_kernel(kernel: np.ndarray, c_in: int, c_out: int) -> ConvWeights:
+    """Lift one (k, k, k) kernel to (c_out, c_in) conv weights.
 
     Every (o, i) pair carries the same kernel scaled by 1/c_in, so a
     channel-constant input produces the plain single-channel response on
     every output channel.  No bias.
     """
-    if kern.spec.dims != 3:
-        raise ConfigError("only 3D kernels can be lifted to conv weights")
-    if c_in < 1 or c_out < 1:
-        raise ConfigError(f"channel counts must be >= 1, got c_in={c_in}, c_out={c_out}")
-    per_pair = kern.weights / c_in
-    data = np.broadcast_to(per_pair, (c_out, c_in) + kern.weights.shape)
-    return ConvWeights(data)
+    return ConvWeights(np.broadcast_to(kernel / c_in, (c_out, c_in) + kernel.shape))
 
 
 @dataclass(frozen=True)
 class OocsBlockParams:
-    """All tensors of one block: four learnable convs, two fixed injections."""
+    """All tensors of one block: four learnable convs and the fixed On kernel.
+
+    `on_kernel` is the balanced On kernel K as (1, 1, k, k, k) weights
+    without bias.  The Off kernel is -K and is never stored.
+    """
 
     w1_on: ConvWeights
     w1_off: ConvWeights
     w2_on: ConvWeights
     w2_off: ConvWeights
-    fixed_on: ConvWeights
-    fixed_off: ConvWeights
+    on_kernel: ConvWeights
 
     def __post_init__(self):
-        if self.fixed_on.bias is not None or self.fixed_off.bias is not None:
-            raise ConfigError("fixed injection weights must not carry a bias")
-        if self.fixed_on.data.shape != self.fixed_off.data.shape:
-            raise DimensionError("fixed On/Off weights must share a shape")
-        if not np.array_equal(self.fixed_off.data, -self.fixed_on.data):
-            raise ConfigError("fixed Off weights must be the exact negation of the fixed On weights")
-        # the block computes one shared response from the (0, 0) slice
-        if not (self.fixed_on.data == self.fixed_on.data[:1, :1]).all():
-            raise ConfigError("fixed weights must hold the same kernel on every channel pair")
+        if self.on_kernel.data.shape[:2] != (1, 1) or self.on_kernel.bias is not None:
+            raise ConfigError("the fixed On kernel must be one (1, 1, k, k, k) kernel without bias")
         for a, b in ((self.w1_on, self.w1_off), (self.w2_on, self.w2_off)):
             if a.data.shape != b.data.shape:
                 raise DimensionError("paired pathway weights must share a shape")
-        if self.w1_on.c_out != self.fixed_on.c_out or self.w1_on.c_in != self.fixed_on.c_in:
-            raise DimensionError("fixed weights must match the first conv's channel shape")
         if self.w2_on.c_in != self.w1_on.c_out or self.w2_on.c_out != self.w1_on.c_out:
             raise DimensionError("second conv must map the pathway width onto itself")
+
+    @property
+    def fixed_on(self) -> ConvWeights:
+        """K lifted onto the first conv's channel shape, as a multichannel conv would apply it."""
+        return lift_kernel(self.on_kernel.data[0, 0], self.w1_on.c_in, self.w1_on.c_out)
+
+    @property
+    def fixed_off(self) -> ConvWeights:
+        """-K lifted onto the first conv's channel shape; the exact negation of `fixed_on`."""
+        return lift_kernel(-self.on_kernel.data[0, 0], self.w1_on.c_in, self.w1_on.c_out)
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,7 @@ class BlockCache:
 
 
 def init_block_params(cfg: OocsBlockConfig, seed: int) -> OocsBlockParams:
-    """Draw learnable weights uniform in +-1/sqrt(fan_in); build fixed kernels."""
+    """Draw learnable weights uniform in +-1/sqrt(fan_in); build the fixed On kernel."""
     rng = make_rng(seed)
 
     def draw(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -153,9 +148,8 @@ def init_block_params(cfg: OocsBlockConfig, seed: int) -> OocsBlockParams:
     w1_off = ConvWeights(draw((ch, cfg.c_in, k, k, k), fan1), draw((ch,), fan1))
     w2_on = ConvWeights(draw((ch, ch, k, k, k), fan2), draw((ch,), fan2))
     w2_off = ConvWeights(draw((ch, ch, k, k, k), fan2), draw((ch,), fan2))
-    fixed_on = lift_kernel(make_kernel(cfg.kernel_spec(), "on"), cfg.c_in, ch)
-    fixed_off = lift_kernel(make_kernel(cfg.kernel_spec(), "off"), cfg.c_in, ch)
-    return OocsBlockParams(w1_on, w1_off, w2_on, w2_off, fixed_on, fixed_off)
+    on_kernel = ConvWeights(make_kernel(cfg.kernel_spec(), "on").weights[None, None])
+    return OocsBlockParams(w1_on, w1_off, w2_on, w2_off, on_kernel)
 
 
 def _relu(arr: np.ndarray) -> np.ndarray:
@@ -171,7 +165,7 @@ def block_forward(
     if params.w1_on.c_in != cfg.c_in or params.w1_on.c_out != cfg.c_half:
         raise DimensionError("params do not match the block config")
     x_sum = FeatureMap(x.data.sum(axis=0, keepdims=True))
-    r = conv3d_forward(x_sum, ConvWeights(params.fixed_on.data[:1, :1])).data
+    r = conv3d_forward(x_sum, ConvWeights(params.on_kernel.data / cfg.c_in)).data
     pre1_on = conv3d_forward(x, params.w1_on).data + r
     pre1_off = conv3d_forward(x, params.w1_off).data - r
     pre2_on = conv3d_forward(FeatureMap(_relu(pre1_on)), params.w2_on).data
@@ -212,7 +206,7 @@ def block_backward(
     gx_off, s_off, g_w1_off, g_w2_off = half_backward(
         grad_y.data[ch:], cache.pre2_off, cache.pre1_off, params.w2_off, params.w1_off
     )
-    flipped = ConvWeights(params.fixed_on.data[:1, :1, ::-1, ::-1, ::-1])
+    flipped = ConvWeights((params.on_kernel.data / cfg.c_in)[..., ::-1, ::-1, ::-1])
     gx_fixed = conv3d_forward(FeatureMap((s_on - s_off)[None]), flipped).data
     grads = BlockGrads(w1_on=g_w1_on, w1_off=g_w1_off, w2_on=g_w2_on, w2_off=g_w2_off)
     return FeatureMap(gx_on + gx_off + gx_fixed), grads

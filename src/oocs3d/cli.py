@@ -17,22 +17,11 @@ import logging
 import os
 import sys
 
-from .errors import (
-    ConfigError,
-    CorruptFileError,
-    DegenerateKernelError,
-    DimensionError,
-    DomainError,
-    NormalizationError,
-    OocsError,
-    RangeError,
-    ResampleError,
-    UndefinedDistanceError,
-    UnsupportedFormatError,
-    VolumeIoError,
-)
+from .errors import ConfigError, OocsError, UndefinedDistanceError, UnsupportedFormatError
 
 log = logging.getLogger("oocs3d")
+# log prefix for each exit code an error class carries
+_FAILURE_KIND = {2: "configuration error", 3: "file error", 4: "numeric failure"}
 
 
 def _apply_threads(threads: int | None) -> None:
@@ -296,16 +285,12 @@ def main(argv=None) -> int:
     try:
         _apply_threads(args.threads)
         return args.func(args)
-    except (DegenerateKernelError, NormalizationError, ResampleError,
-            UndefinedDistanceError, RangeError) as exc:
-        log.error("numeric failure: %s", exc)
-        return 4
-    except (UnsupportedFormatError, CorruptFileError, VolumeIoError, OSError) as exc:
+    except OocsError as exc:
+        log.error("%s: %s", _FAILURE_KIND[exc.exit_code], exc)
+        return exc.exit_code
+    except OSError as exc:
         log.error("file error: %s", exc)
         return 3
-    except (ConfigError, DimensionError, DomainError, OocsError) as exc:
-        log.error("configuration error: %s", exc)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,12 +1,21 @@
 """Exception taxonomy shared by the whole package.
 
-The CLI maps these onto exit codes: configuration problems exit 2,
-file/OS problems exit 3, data-dependent numeric failures exit 4.
+Each class carries the CLI exit code it ends in, as `exit_code`:
+
+    2  configuration problems: OocsError, ConfigError, DimensionError,
+       InvalidKernelError, DomainError
+    3  file problems: VolumeIoError, UnsupportedFormatError,
+       CorruptFileError (and any OSError)
+    4  data-dependent numeric failures: DegenerateKernelError,
+       NormalizationError, ResampleError, UndefinedDistanceError,
+       RangeError
 """
 
 
 class OocsError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class ConfigError(OocsError):
@@ -28,21 +37,31 @@ class DomainError(OocsError):
 class DegenerateKernelError(DomainError):
     """A raw kernel without both positive and negative entries cannot be balanced."""
 
+    exit_code = 4
+
 
 class NormalizationError(DomainError):
     """Zero-variance input cannot be z-scored."""
+
+    exit_code = 4
 
 
 class ResampleError(DomainError):
     """Resampling would produce a degenerate (zero-sized) volume."""
 
+    exit_code = 4
+
 
 class UndefinedDistanceError(DomainError):
     """Hausdorff distance is undefined when either mask is empty."""
 
+    exit_code = 4
+
 
 class VolumeIoError(OocsError):
     """Base class for file-format problems."""
+
+    exit_code = 3
 
 
 class UnsupportedFormatError(VolumeIoError):
@@ -55,3 +74,5 @@ class CorruptFileError(VolumeIoError):
 
 class RangeError(VolumeIoError):
     """Values do not fit the requested on-disk element type."""
+
+    exit_code = 4

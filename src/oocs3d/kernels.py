@@ -211,21 +211,16 @@ def continuous_balance_check(spec: KernelSpec, n_grid: int) -> BalanceResidual:
     ts = 2.0 * sigma * sigma
     r2max = radius * radius
     plane = x[:, None] ** 2 + x[None, :] ** 2
-    if d == 2:
-        f = inv_center_norm * np.exp(-plane / tc) - np.exp(-plane / ts)
-        inside = plane <= r2max
-        total = float(f[inside].sum())
-        l1 = float(np.abs(f[inside]).sum())
-    else:
-        total = 0.0
-        l1 = 0.0
-        # one z-slab at a time keeps peak memory flat at large n_grid
-        for zv in x:
-            rho2 = plane + zv * zv
-            f = inv_center_norm * np.exp(-rho2 / tc) - np.exp(-rho2 / ts)
-            inside = rho2 <= r2max
-            total += float(f[inside].sum())
-            l1 += float(np.abs(f[inside]).sum())
+    total = 0.0
+    l1 = 0.0
+    # one z-slab at a time keeps peak memory flat at large n_grid; 2D is
+    # the single slab at z = 0
+    for zv in x if d == 3 else (0.0,):
+        rho2 = plane + zv * zv
+        f = inv_center_norm * np.exp(-rho2 / tc) - np.exp(-rho2 / ts)
+        inside = rho2 <= r2max
+        total += float(f[inside].sum())
+        l1 += float(np.abs(f[inside]).sum())
     cell = h ** d
     return BalanceResidual(residual=abs(total) * cell, l1_mass=l1 * cell)
 
@@ -253,15 +248,14 @@ def kernel_to_json(kern: BalancedKernel) -> str:
 
 
 def kernel_from_json(text: str) -> BalancedKernel:
+    """Parse `kernel_to_json` output; malformed JSON or fields raise ConfigError."""
     try:
         doc = json.loads(text)
         spec = KernelSpec(**doc["spec"])
         derivation = KernelDerivation(**doc["derivation"])
-        weights = doc["weights"]
-        polarity = doc["polarity"]
-    except (KeyError, TypeError, ValueError) as exc:
+        return BalancedKernel(spec, derivation, doc["weights"], doc["polarity"])
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed kernel JSON: {exc}") from exc
-    return BalancedKernel(spec, derivation, weights, polarity)
 
 
 def kernel_to_csv(kern: BalancedKernel) -> str:

@@ -52,17 +52,23 @@ def naive_block_forward(x, params, cfg):
     """Straight-line re-statement of the two-pathway block forward.
 
     Uses naive_conv3d throughout, so it shares no convolution code with
-    the implementation under test.
+    the implementation under test.  The stored On kernel K is lifted here:
+    every (o, i) channel pair of the On injection holds K / c_in, and the
+    Off injection is its negation.
     """
+    kernel = params.on_kernel.data[0, 0]
+    fixed_on = np.empty((cfg.c_out // 2, cfg.c_in) + kernel.shape)
+    fixed_on[...] = kernel / cfg.c_in
+
     def path(w_first, fixed, w_second):
         pre1 = naive_conv3d(x, w_first.data, w_first.bias, "same_zero")
-        pre1 = pre1 + naive_conv3d(x, fixed.data, None, "same_zero")
+        pre1 = pre1 + naive_conv3d(x, fixed, None, "same_zero")
         a1 = np.maximum(pre1, 0.0)
         pre2 = naive_conv3d(a1, w_second.data, w_second.bias, "same_zero")
         return np.maximum(pre2, 0.0)
 
-    on = path(params.w1_on, params.fixed_on, params.w2_on)
-    off = path(params.w1_off, params.fixed_off, params.w2_off)
+    on = path(params.w1_on, fixed_on, params.w2_on)
+    off = path(params.w1_off, -fixed_on, params.w2_off)
     return np.concatenate([on, off], axis=0)
 
 

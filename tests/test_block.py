@@ -45,8 +45,6 @@ class TestConfig:
             OocsBlockConfig(c_in=0, c_out=4)
         with pytest.raises(ConfigError):
             OocsBlockConfig(c_in=1, c_out=4, k_oocs=7)
-        with pytest.raises(ConfigError):
-            OocsBlockConfig(c_in=1, c_out=4, activation="tanh")
 
     def test_half_width_and_spec(self):
         cfg = OocsBlockConfig(c_in=2, c_out=8, k_oocs=5)
@@ -57,7 +55,7 @@ class TestConfig:
 class TestLiftKernel:
     def test_single_channel_is_plain_kernel(self):
         kern = make_kernel(KernelSpec(k=3))
-        w = lift_kernel(kern, 1, 1)
+        w = lift_kernel(kern.weights, 1, 1)
         assert w.bias is None
         np.testing.assert_array_equal(w.data[0, 0], kern.weights)
 
@@ -72,26 +70,46 @@ class TestLiftKernel:
         ).data[0]
         for c_in in (2, 3):
             x = FeatureMap(np.stack([base] * c_in))
-            lifted = lift_kernel(kern, c_in, 2)
+            lifted = lift_kernel(kern.weights, c_in, 2)
             out = conv3d_forward(x, lifted).data
             for ch in range(2):
                 np.testing.assert_allclose(out[ch], single, rtol=1e-12, atol=1e-12)
 
     def test_lifted_taps_sum_near_zero(self):
         kern = make_kernel(KernelSpec(k=5))
-        w = lift_kernel(kern, 3, 4)
+        w = lift_kernel(kern.weights, 3, 4)
         sums = w.data.reshape(4, -1).sum(axis=1)
         assert np.abs(sums).max() < 1e-9
 
 
 class TestParams:
-    def test_fixed_negation_enforced(self):
-        cfg = OocsBlockConfig(c_in=1, c_out=4)
+    @pytest.mark.parametrize("k_oocs", [3, 5])
+    @pytest.mark.parametrize("c_in,c_out", [(1, 4), (3, 8)])
+    def test_lifted_views_derive_from_the_stored_kernel(self, c_in, c_out, k_oocs):
+        cfg = OocsBlockConfig(c_in=c_in, c_out=c_out, k_oocs=k_oocs)
+        params = init_block_params(cfg, seed=29)
+        kernel = make_kernel(cfg.kernel_spec(), "on").weights
+        assert params.on_kernel.data.tobytes() == kernel[None, None].tobytes()
+        on, off = params.fixed_on, params.fixed_off
+        assert on.data.shape == off.data.shape == (c_out // 2, c_in) + (k_oocs,) * 3
+        assert on.bias is None and off.bias is None
+        per_pair = (kernel / c_in).tobytes()
+        for o in range(c_out // 2):
+            for i in range(c_in):
+                assert on.data[o, i].tobytes() == per_pair
+        assert off.data.tobytes() == (-on.data).tobytes()
+
+    @pytest.mark.parametrize("bad", ["lifted", "bias"])
+    def test_on_kernel_must_be_single_and_bias_free(self, bad):
+        cfg = OocsBlockConfig(c_in=2, c_out=4)
         params = init_block_params(cfg, seed=0)
-        broken = params.fixed_on.data.copy()
-        broken[0, 0, 0, 0, 0] += 1e-9
+        kernel = params.on_kernel.data
+        if bad == "lifted":
+            wrong = ConvWeights(np.tile(kernel, (2, 2, 1, 1, 1)))
+        else:
+            wrong = ConvWeights(kernel, bias=np.zeros(1))
         with pytest.raises(ConfigError):
-            dataclasses.replace(params, fixed_on=ConvWeights(broken))
+            dataclasses.replace(params, on_kernel=wrong)
 
     def test_init_determinism(self):
         cfg = OocsBlockConfig(c_in=2, c_out=4)
@@ -154,9 +172,7 @@ class TestForward:
         params = init_block_params(cfg, seed=13)
         x = FeatureMap(np.random.default_rng(13).normal(size=(1, 6, 6, 6)))
         y0, _ = block_forward(x, params, cfg)
-        bumped_on = ConvWeights(params.fixed_on.data * 2.0)
-        bumped_off = ConvWeights(-bumped_on.data)
-        params2 = dataclasses.replace(params, fixed_on=bumped_on, fixed_off=bumped_off)
+        params2 = dataclasses.replace(params, on_kernel=ConvWeights(params.on_kernel.data * 2.0))
         y1, _ = block_forward(x, params2, cfg)
         assert np.abs(y0.data - y1.data).max() > 1e-6
 
@@ -167,10 +183,9 @@ class TestForward:
             block_forward(FeatureMap(np.zeros((3, 5, 5, 5))), params, cfg)
 
 
-def _with_fixed_kernel(params, cfg, kernel):
-    """`params` with `kernel` lifted onto every channel pair of the fixed weights."""
-    on = np.broadcast_to(kernel / cfg.c_in, params.fixed_on.data.shape)
-    return dataclasses.replace(params, fixed_on=ConvWeights(on), fixed_off=ConvWeights(-on))
+def _with_fixed_kernel(params, kernel):
+    """`params` with `kernel` stored as the fixed On kernel."""
+    return dataclasses.replace(params, on_kernel=ConvWeights(kernel[None, None]))
 
 
 def _lifted_input_grad(grad_y, cache, params, cfg):
@@ -200,7 +215,7 @@ class TestSharedFixedResponse:
         params = init_block_params(cfg, seed=31 + c_in)
         rng = np.random.default_rng(31 + k_oocs)
         if kernel == "asymmetric":
-            params = _with_fixed_kernel(params, cfg, rng.normal(size=(k_oocs,) * 3))
+            params = _with_fixed_kernel(params, rng.normal(size=(k_oocs,) * 3))
         x = FeatureMap(rng.normal(size=(c_in, 5, 6, 7)))
         y, cache = block_forward(x, params, cfg)
         assert np.abs(y.data - naive_block_forward(x.data, params, cfg)).max() <= 1e-12
@@ -208,16 +223,6 @@ class TestSharedFixedResponse:
         gx, _ = block_backward(FeatureMap(g_y), cache, params, cfg)
         want = _lifted_input_grad(g_y, cache, params, cfg)
         assert np.abs(gx.data - want).max() <= 1e-12 * np.abs(want).max()
-
-    @pytest.mark.parametrize("c_in", [1, 3])
-    def test_unequal_channel_pair_rejected(self, c_in):
-        # the negation still holds, but one (o, i) slice differs from the rest
-        cfg = OocsBlockConfig(c_in=c_in, c_out=4)
-        params = init_block_params(cfg, seed=37)
-        broken = params.fixed_on.data.copy()
-        broken[1, c_in - 1] *= 1.5
-        with pytest.raises(ConfigError, match="every channel pair"):
-            dataclasses.replace(params, fixed_on=ConvWeights(broken), fixed_off=ConvWeights(-broken))
 
 
 class TestBackward:
@@ -328,10 +333,7 @@ class TestParameterLedger:
         # doubling the fixed kernels' magnitude must not change the count
         cfg = OocsBlockConfig(c_in=2, c_out=4)
         params = init_block_params(cfg, seed=0)
-        scaled_on = ConvWeights(params.fixed_on.data * 3.0)
-        params2 = dataclasses.replace(
-            params, fixed_on=scaled_on, fixed_off=ConvWeights(-scaled_on.data)
-        )
+        params2 = dataclasses.replace(params, on_kernel=ConvWeights(params.on_kernel.data * 3.0))
         assert learnable_param_count(params2) == learnable_param_count(params)
 
     def test_deficit_against_plain_two_conv_block(self):

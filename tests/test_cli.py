@@ -2,12 +2,14 @@
 
 import json
 import logging
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from oocs3d import errors
 from oocs3d.cli import main
 from oocs3d.kernels import KernelSpec, make_kernel, kernel_from_json
 from oocs3d.tensor import BinaryMask, ConvWeights, FeatureMap, Volume, conv3d_forward
@@ -41,6 +43,41 @@ def _run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _documented_exit_codes():
+    """{class name: exit code}, read from the table in the errors module docstring."""
+    table, code = {}, None
+    for line in errors.__doc__.splitlines():
+        row = re.match(r"\s+(\d)\s+[^:]*:(.*)", line)
+        if row:
+            code, line = int(row.group(1)), row.group(2)
+        if code is not None:
+            for name in re.findall(r"\b[A-Z]\w*Error\b", line):
+                table[name] = code
+    return table
+
+
+_EXIT_CODES = _documented_exit_codes()
+_FAILURE_KIND = {2: "configuration error", 3: "file error", 4: "numeric failure"}
+
+
+class TestExitCodes:
+    def test_table_names_every_error_class(self):
+        classes = {n for n, c in vars(errors).items() if isinstance(c, type) and issubclass(c, Exception)}
+        assert set(_EXIT_CODES) == classes | {"OSError"}
+
+    @pytest.mark.parametrize("name,code", sorted(_EXIT_CODES.items()))
+    def test_raised_class_ends_in_its_exit_code(self, name, code, capsys, caplog, monkeypatch):
+        exc_type = getattr(errors, name, OSError)
+
+        def handler(args):
+            raise exc_type("handler failed")
+
+        monkeypatch.setattr("oocs3d.cli._cmd_kernel", handler)
+        rc, _, _ = _run(capsys, "kernel", "--k", "3")
+        assert rc == code
+        assert f"{_FAILURE_KIND[code]}: handler failed" in caplog.text
 
 
 class TestKernelCommand:

@@ -268,6 +268,16 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             kernel_from_json(json.dumps({"spec": {"k": 3}}))
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ConfigError):
+            kernel_from_json("[" * 100_000 + "]" * 100_000)
+
+    def test_non_numeric_weights_rejected(self):
+        doc = json.loads(kernel_to_json(make_kernel(KernelSpec(k=3))))
+        doc["weights"] = [[["a"]]]
+        with pytest.raises(ConfigError):
+            kernel_from_json(json.dumps(doc))
+
     def test_csv_shape_and_center_row(self):
         kern = make_kernel(KernelSpec(k=3))
         lines = kernel_to_csv(kern).strip().split("\n")
