@@ -11,6 +11,9 @@ Conventions, fixed once for the whole package:
   no spatial flip;
 * "same_zero" padding zero-pads so spatial dims are preserved, "valid"
   keeps only fully covered positions;
+* zero padding copies the input into the interior of a zeroed buffer,
+  and the im2col columns are gathered through a read-only strided window
+  view of that buffer (or of the input itself when nothing is padded);
 * convolutions are im2col matrix products done by BLAS, one per depth
   slab.  Results are byte-identical from run to run at a fixed BLAS
   thread count.  The summation order inside a product is BLAS's choice,
@@ -26,7 +29,6 @@ share across threads, and every operation returns fresh arrays.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError, InvalidKernelError
 
@@ -200,11 +202,10 @@ def pad_zero(v, margin):
     m = tuple(int(x) for x in margin)
     if len(m) != 3 or any(x < 0 for x in m):
         raise DomainError(f"margin must be three non-negative integers, got {margin!r}")
-    width = tuple((x, x) for x in m)
     if isinstance(v, Volume):
-        return Volume(np.pad(v.data, width), v.spacing)
+        return Volume(_pad(v.data, m), v.spacing)
     if isinstance(v, FeatureMap):
-        return FeatureMap(np.pad(v.data, ((0, 0),) + width))
+        return FeatureMap(_pad(v.data, m))
     raise DimensionError(f"pad_zero expects Volume or FeatureMap, got {type(v).__name__}")
 
 
@@ -221,22 +222,36 @@ def conv3d_output_shape(input_shape, k: int, padding: str) -> tuple[int, int, in
     return out
 
 
-def _pad(a: np.ndarray, m: int) -> np.ndarray:
-    """Zero-pad the spatial axes of a (C, D, H, W) array by `m` on each side."""
-    return np.pad(a, ((0, 0),) + ((m, m),) * 3) if m else a
+def _pad(a: np.ndarray, m: tuple[int, int, int]) -> np.ndarray:
+    """Zero-pad the last three axes of `a` by margins `m` = (D, H, W) on each side.
+
+    `a` is copied into the interior of a zeroed buffer; with every margin
+    0, `a` itself is returned.
+    """
+    if not any(m):
+        return a
+    spatial = a.shape[-3:]
+    out = np.zeros(a.shape[:-3] + tuple(n + 2 * x for n, x in zip(spatial, m)), a.dtype)
+    out[(...,) + tuple(slice(x, x + n) for n, x in zip(spatial, m))] = a
+    return out
 
 
 def _slabs(xp: np.ndarray, k: int, out_shape):
     """Yield (depth slice, im2col columns) over the output, one depth slab at a time.
 
     Each column matrix has one row per (input channel, kz, ky, kx) tap and
-    one column per output voxel of the slab.  All slabs share one buffer
-    of at most `_COL_BYTES`, unless a single depth slice needs more, so a
-    yielded matrix is only valid until the next one is drawn.
+    one column per output voxel of the slab.  The taps are read through a
+    read-only (c, kz, ky, kx, d, h, w) view built on the contiguous `xp`
+    from its own strides: a window offset and an output position step
+    through the same array axis.  All slabs share one buffer of at most
+    `_COL_BYTES`, unless a single depth slice needs more, so a yielded
+    matrix is only valid until the next one is drawn.
     """
     d, h, w = out_shape
     c = xp.shape[0]
-    win = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3)).transpose(0, 4, 5, 6, 1, 2, 3)
+    sc, sz, sy, sx = xp.strides
+    win = np.ndarray((c, k, k, k, d, h, w), xp.dtype, xp, 0, (sc, sz, sy, sx, sz, sy, sx))
+    win.flags.writeable = False
     depth = min(d, max(1, _COL_BYTES // (c * k ** 3 * h * w * 8)))
     buf = np.empty((c, k, k, k, depth, h, w))
     for z in range(0, d, depth):
@@ -268,7 +283,7 @@ def conv3d_forward(x: FeatureMap, w: ConvWeights, padding: str = PAD_SAME) -> Fe
         raise DimensionError(f"input has {x.channels} channels but weights expect {w.c_in}")
     out_shape = conv3d_output_shape(x.data.shape[1:], w.k, padding)
     m = w.k // 2 if padding == PAD_SAME else 0
-    out = _correlate(_pad(x.data, m), w.data, out_shape)
+    out = _correlate(_pad(x.data, (m,) * 3), w.data, out_shape)
     if w.bias is not None:
         out += w.bias[:, None, None, None]
     return FeatureMap(out)
@@ -294,11 +309,11 @@ def conv3d_backward(
     k = w.k
     m = k // 2 if padding == PAD_SAME else 0
     grad_w = np.zeros((w.c_out, w.c_in * k ** 3))
-    for sl, cols in _slabs(_pad(x.data, m), k, out_shape):
+    for sl, cols in _slabs(_pad(x.data, (m,) * 3), k, out_shape):
         grad_w += go[:, sl].reshape(w.c_out, -1) @ cols.T
     # grad_input is the full correlation of grad_out with the flipped,
     # channel-transposed kernel: pad so every input voxel sees all k^3 taps
     w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-    grad_x = _correlate(_pad(go, k - 1 - m), w_adj, x.data.shape[1:])
+    grad_x = _correlate(_pad(go, (k - 1 - m,) * 3), w_adj, x.data.shape[1:])
     grad_bias = go.sum(axis=(1, 2, 3)) if w.bias is not None else None
     return FeatureMap(grad_x), ConvWeights(grad_w.reshape(w.data.shape), grad_bias)

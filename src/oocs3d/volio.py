@@ -234,7 +234,8 @@ def read_raw_json(json_path: str):
         shape = doc["shape"]
         spacing = tuple(float(s) for s in doc["spacing"])
         raw_name = doc["raw_file"]
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: a JSON integer spacing too large for a float
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptFileError(f"JSON sidecar missing or mistyping a field: {exc}") from exc
     if kind not in ("image", "mask"):
         raise UnsupportedFormatError(f"unsupported kind {kind!r}")

@@ -9,6 +9,7 @@ import from the modules they are used to check beyond the data types.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 
@@ -46,6 +47,20 @@ def naive_conv3d(x, w, bias=None, padding="same_zero"):
         if bias is not None:
             out[o] += bias[o]
     return out
+
+
+def im2col(x, k, padding="same_zero"):
+    """Whole-output im2col matrix of a (C, D, H, W) array, via np.pad and sliding_window_view.
+
+    Row (i, kz, ky, kx) holds input channel i at tap offset (kz, ky, kx);
+    column (z, y, x) is one output voxel; both run in C order.  A
+    (C_out, C * k**3) weight matrix times this matrix is the convolution.
+    """
+    m = k // 2 if padding == "same_zero" else 0
+    xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0),) + ((m, m),) * 3)
+    win = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
+    c, d, h, w = win.shape[:4]
+    return win.transpose(0, 4, 5, 6, 1, 2, 3).reshape(c * k ** 3, d * h * w)
 
 
 def naive_block_forward(x, params, cfg):

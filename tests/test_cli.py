@@ -484,6 +484,16 @@ class TestTopLevel:
         assert rc == 3
         assert "spacing" in caplog.text
 
+    def test_huge_integer_sidecar_spacing_is_io_error(self, capsys, caplog, tmp_path):
+        ref = tmp_path / "ref.json"
+        write_raw_json(BinaryMask(np.ones((2, 2, 2), dtype=bool)), str(ref))
+        doc = json.loads(ref.read_text())
+        doc["spacing"] = [1, 10 ** 400, 1]
+        ref.write_text(json.dumps(doc))
+        rc, _, _ = _run(capsys, "eval", "--pred", str(ref), "--ref", str(ref))
+        assert rc == 3
+        assert "sidecar" in caplog.text
+
     def test_non_utf8_sidecar_is_io_error(self, capsys, caplog, tmp_path):
         ref = tmp_path / "ref.json"
         ref.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -18,7 +18,7 @@ from oocs3d.tensor import (
     pad_zero,
 )
 
-from oracles import central_difference, max_rel_err, naive_conv3d
+from oracles import central_difference, im2col, max_rel_err, naive_conv3d
 
 
 class TestVolume:
@@ -283,6 +283,20 @@ class TestConvBackward:
             assert max_rel_err(gw.data, central_difference(phi, w0)) < 1e-6
             rng.shuffle(np.arange(3))  # keep the outer stream advancing
 
+    def test_kernel_wider_than_an_axis(self):
+        # same_zero padding lets k = 5 run over a 2- and a 3-voxel axis
+        rng = np.random.default_rng(59)
+        x = rng.normal(size=(2, 2, 3, 9))
+        w0 = rng.normal(size=(2, 2, 5, 5, 5))
+        bias = rng.normal(size=2)
+        got = conv3d_forward(FeatureMap(x), ConvWeights(w0, bias=bias), PAD_SAME).data
+        assert np.abs(got - naive_conv3d(x, w0, bias, PAD_SAME)).max() < 1e-9
+        g = rng.normal(size=got.shape)
+        lhs = float(np.sum(naive_conv3d(x, w0, None, PAD_SAME) * g))
+        gx, gw = conv3d_backward(FeatureMap(x), ConvWeights(w0), FeatureMap(g), PAD_SAME)
+        assert abs(float(np.sum(x * gx.data)) - lhs) <= 1e-12 * abs(lhs)
+        assert abs(float(np.sum(w0 * gw.data)) - lhs) <= 1e-12 * abs(lhs)
+
     def test_grad_out_shape_mismatch_rejected(self):
         x = FeatureMap(np.zeros((1, 4, 4, 4)))
         w = ConvWeights(np.zeros((1, 1, 3, 3, 3)))
@@ -354,3 +368,56 @@ class TestSlabBoundaries:
         gx, gw = conv3d_backward(FeatureMap(x), ConvWeights(w0), FeatureMap(g), padding)
         assert abs(float(np.sum(x * gx.data)) - lhs) <= 1e-12 * abs(lhs)
         assert abs(float(np.sum(w0 * gw.data)) - lhs) <= 1e-12 * abs(lhs)
+
+
+_IM2COL_CASES = [
+    (shape, k, padding)
+    for shape in ((7, 6, 5), (2, 3, 9))
+    for k in (1, 3, 5)
+    for padding in (PAD_SAME, PAD_VALID)
+    if padding == PAD_SAME or min(shape) >= k
+]
+
+
+class TestIm2col:
+    """The engine's strided window view against the np.pad + sliding_window_view oracle."""
+
+    @pytest.mark.parametrize("multi_slab", [False, True])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("shape,k,padding", _IM2COL_CASES)
+    def test_columns_equal_oracle_bytes(self, monkeypatch, shape, k, padding, c, multi_slab):
+        out_shape = conv3d_output_shape(shape, k, padding)
+        d, h, w = out_shape
+        if multi_slab:
+            monkeypatch.setattr(tensor, "_COL_BYTES", c * k ** 3 * h * w * 8)
+        x = np.random.default_rng(61).normal(size=(c,) + shape)
+        m = k // 2 if padding == PAD_SAME else 0
+        starts, blocks = [], []
+        for sl, cols in tensor._slabs(tensor._pad(x, (m,) * 3), k, out_shape):
+            starts.append(sl.start)
+            blocks.append(cols.copy())  # the slab buffer is reused by the next slab
+        assert starts == (list(range(d)) if multi_slab else [0])
+        assert sl.stop == d
+        assert np.array_equal(np.concatenate(blocks, axis=1), im2col(x, k, padding))
+
+
+class TestInputsUntouched:
+    """The engine neither writes into nor returns views of its inputs."""
+
+    @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_inputs_unchanged_read_only_and_unshared(self, k, padding):
+        # k = 1 and valid padding feed the unpadded input buffers to the window view
+        rng = np.random.default_rng(67)
+        x = FeatureMap(rng.normal(size=(2, 5, 6, 7)))
+        w = ConvWeights(rng.normal(size=(3, 2, k, k, k)), bias=rng.normal(size=3))
+        g = FeatureMap(rng.normal(size=(3,) + conv3d_output_shape((5, 6, 7), k, padding)))
+        inputs = [x.data, w.data, w.bias, g.data]
+        before = [a.copy() for a in inputs]
+        y = conv3d_forward(x, w, padding)
+        gx, gw = conv3d_backward(x, w, g, padding)
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+        for out in (y.data, gx.data, gw.data, gw.bias):
+            assert not any(np.shares_memory(out, a) for a in inputs)

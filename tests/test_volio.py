@@ -284,6 +284,17 @@ class TestRawJson:
         with pytest.raises(CorruptFileError, match="sidecar"):
             read_raw_json(str(p))
 
+    def test_huge_integer_spacing_rejected(self, tmp_path):
+        # a JSON integer beyond the float range makes float() raise OverflowError
+        v = _volume(np.random.default_rng(283), shape=(1, 1, 1))
+        p = tmp_path / "vol.json"
+        write_raw_json(v, str(p))
+        doc = json.loads(p.read_text())
+        doc["spacing"] = [10 ** 400, 1, 1]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFileError, match="sidecar"):
+            read_raw_json(str(p))
+
     @pytest.mark.parametrize(
         "shape, payload, match",
         [
