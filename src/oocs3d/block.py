@@ -222,21 +222,13 @@ def learnable_param_count(params: OocsBlockParams) -> int:
     return total
 
 
-def expected_learnable_count(cfg: OocsBlockConfig) -> int:
-    """Closed-form learnable count for `cfg` (two pathways, biases included)."""
-    ch = cfg.c_half
-    k3 = cfg.k_learn ** 3
-    per_pathway = ch * cfg.c_in * k3 + ch + ch * ch * k3 + ch
-    return 2 * per_pathway
-
-
 def plain_block_param_count(cfg: OocsBlockConfig) -> int:
     """Parameter count of the full-width two-conv block (c_in -> c_out -> c_out).
 
     A comparison figure, not the parity target: the block holds
     (c_out**2 / 2) * k_learn**3 fewer learnables than this.  Its parity
-    target is `expected_learnable_count`, the same two pathways without
-    the fixed injections.
+    target is the count of the same two pathways without the fixed
+    injections, which `learnable_param_count` reads from a built block.
     """
     k3 = cfg.k_learn ** 3
     return cfg.c_out * cfg.c_in * k3 + cfg.c_out + cfg.c_out * cfg.c_out * k3 + cfg.c_out

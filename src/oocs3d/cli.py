@@ -141,18 +141,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    from .perturb import PerturbSpec, apply
+    from .perturb import gaussian_blur, gaussian_noise, motion_artifact
 
-    spec = PerturbSpec(
-        kind=args.kind,
-        sigma=args.sigma,
-        n_transforms=args.n,
-        max_rot_deg=args.max_rot,
-        max_trans_mm=args.max_trans,
-        seed=args.seed,
-    )
     v = _read_volume(args.image)
-    _write_any(apply(v, spec), args.out)
+    if args.kind == "gaussian_blur":
+        out = gaussian_blur(v, args.sigma)
+    elif args.kind == "gaussian_noise":
+        out = gaussian_noise(v, args.sigma, args.seed)
+    else:
+        out = motion_artifact(v, args.n, args.max_rot, args.max_trans, args.seed)
+    _write_any(out, args.out)
     return 0
 
 

@@ -106,7 +106,11 @@ def _dog_profile(spec: KernelSpec, sigma: float):
     otherwise leak sign-indeterminate values into the balancing step.
     """
     g = spec.gamma
-    inv_center_norm = g ** -spec.dims
+    try:
+        inv_center_norm = g ** -spec.dims
+    except OverflowError as exc:
+        # like any tiny gamma, it would leave no negative entry to balance
+        raise DegenerateKernelError(f"gamma={g!r} puts the center peak beyond the float range") from exc
     tc = 2.0 * g * g * sigma * sigma
     ts = 2.0 * sigma * sigma
     snap = 1e-12 * (inv_center_norm - 1.0)
@@ -164,8 +168,6 @@ def balance(raw, c: float) -> np.ndarray:
 
 def make_kernel(spec: KernelSpec, polarity: str = "on") -> BalancedKernel:
     """Build the balanced kernel for `spec`; 'off' is the exact negation of 'on'."""
-    if polarity not in ("on", "off"):
-        raise ConfigError(f"polarity must be 'on' or 'off', got {polarity!r}")
     raw = sample_dog(spec)
     r_surround, r_center, sigma = _geometry(spec)
     sum_pos, sum_neg = _sign_sums(raw)

@@ -1,52 +1,21 @@
 """Robustness perturbations: Gaussian blur, additive noise, motion artifacts.
 
 Each perturbation maps a Volume to a new Volume with the same shape and
-spacing.  All randomness is seeded; the same (spec, input) pair always
-produces the same output.
+spacing.  All randomness is seeded; the same parameters and input always
+produce the same output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import correlate1d
 
 from ._geom import resample_affine, rigid_index_map
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .rng import make_rng
 from .tensor import Volume
-
-KINDS = ("gaussian_blur", "gaussian_noise", "motion")
-
-
-@dataclass(frozen=True)
-class PerturbSpec:
-    """Which perturbation to run and its parameters.
-
-    `sigma` is in voxels for the blur and in intensity units for the
-    noise; motion ignores it.
-    """
-
-    kind: str
-    sigma: float = 1.0
-    n_transforms: int = 1
-    max_rot_deg: float = 10.0
-    max_trans_mm: float = 10.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind in ("gaussian_blur", "gaussian_noise"):
-            if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-                raise DomainError(f"sigma must be positive, got {self.sigma!r}")
-        if self.kind == "motion":
-            if self.n_transforms < 1:
-                raise DomainError(f"n_transforms must be >= 1, got {self.n_transforms}")
-            if self.max_rot_deg < 0.0 or self.max_trans_mm < 0.0:
-                raise DomainError("motion amplitude bounds must be >= 0")
 
 
 def gaussian_blur(v: Volume, sigma: float) -> Volume:
@@ -110,8 +79,11 @@ def motion_artifact(
         raise DomainError(
             f"motion needs depth D >= n + 1 for n={n_transforms} transforms, got D={v.shape[0]}"
         )
-    if max_rot_deg < 0.0 or max_trans_mm < 0.0:
-        raise DomainError("motion amplitude bounds must be >= 0")
+    # each draw spans [-b, b], so the width 2b must be finite too
+    if not all(b >= 0.0 and math.isfinite(2.0 * b) for b in (max_rot_deg, max_trans_mm)):
+        raise DomainError(
+            f"motion amplitude bounds must be finite and >= 0, got {max_rot_deg!r} and {max_trans_mm!r}"
+        )
     d = v.shape[0]
     slab = np.minimum(np.arange(d) // (d // (n_transforms + 1)), n_transforms)
     k = np.arange(d // 2 + 1)
@@ -129,12 +101,3 @@ def motion_artifact(
         spec *= weight[:, None, None]
         half += spec
     return Volume(np.fft.irfft(half, n=d, axis=0), v.spacing)
-
-
-def apply(v: Volume, spec: PerturbSpec) -> Volume:
-    """Dispatch on `spec.kind`."""
-    if spec.kind == "gaussian_blur":
-        return gaussian_blur(v, spec.sigma)
-    if spec.kind == "gaussian_noise":
-        return gaussian_noise(v, spec.sigma, spec.seed)
-    return motion_artifact(v, spec.n_transforms, spec.max_rot_deg, spec.max_trans_mm, spec.seed)

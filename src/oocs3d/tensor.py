@@ -40,16 +40,22 @@ PADDINGS = (PAD_SAME, PAD_VALID)
 _COL_BYTES = 1 << 20
 
 
-def _check_padding(padding: str) -> None:
-    if padding not in PADDINGS:
-        raise DomainError(f"padding must be one of {PADDINGS}, got {padding!r}")
-
-
 def _check_spacing(spacing) -> tuple[float, float, float]:
     sp = tuple(float(s) for s in spacing)
     if len(sp) != 3 or not all(np.isfinite(s) and s > 0 for s in sp):
         raise DomainError(f"spacing must be three positive finite values, got {spacing!r}")
     return sp
+
+
+def _frozen(data, ndim: int, what: str, check_finite: bool = True) -> np.ndarray:
+    """A read-only C-ordered float64 copy of `data`: rank `ndim`, no empty axis, finite values."""
+    arr = np.array(data, dtype=np.float64, order="C")
+    if arr.ndim != ndim or min(arr.shape) < 1:
+        raise DimensionError(f"{what} must be non-empty {ndim}D, got shape {arr.shape}")
+    if check_finite and not np.isfinite(arr).all():
+        raise DomainError(f"{what} contains non-finite values")
+    arr.setflags(write=False)
+    return arr
 
 
 class Volume:
@@ -61,13 +67,7 @@ class Volume:
     """
 
     def __init__(self, data, spacing=(1.0, 1.0, 1.0), *, check_finite: bool = True):
-        arr = np.array(data, dtype=np.float64, order="C")
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise DimensionError(f"volume data must be non-empty 3D, got shape {arr.shape}")
-        if check_finite and not np.isfinite(arr).all():
-            raise DomainError("volume contains non-finite values")
-        arr.setflags(write=False)
-        self.data = arr
+        self.data = _frozen(data, 3, "volume data", check_finite)
         self.spacing = _check_spacing(spacing)
 
     @property
@@ -118,13 +118,7 @@ class FeatureMap:
     """A (C, D, H, W) activation tensor, network-internal (no spacing)."""
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64, order="C")
-        if arr.ndim != 4 or arr.shape[0] < 1 or min(arr.shape[1:]) < 1:
-            raise DimensionError(f"feature map must be non-empty (C, D, H, W), got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise DomainError("feature map contains non-finite values")
-        arr.setflags(write=False)
-        self.data = arr
+        self.data = _frozen(data, 4, "feature map (C, D, H, W)")
 
     @classmethod
     def from_volume(cls, v: Volume) -> "FeatureMap":
@@ -154,28 +148,16 @@ class ConvWeights:
     """
 
     def __init__(self, data, bias=None):
-        arr = np.array(data, dtype=np.float64, order="C")
-        if arr.ndim != 5:
-            raise DimensionError(f"conv weights must be 5D (C_out, C_in, k, k, k), got shape {arr.shape}")
+        arr = _frozen(data, 5, "conv weights (C_out, C_in, k, k, k)")
         k = arr.shape[2]
         if arr.shape[3] != k or arr.shape[4] != k:
             raise InvalidKernelError(f"kernel must be cubic, got {arr.shape[2:]}")
         if k % 2 == 0:
             raise InvalidKernelError(f"kernel size must be odd, got k={k}")
-        if not np.isfinite(arr).all():
-            raise DomainError("conv weights contain non-finite values")
-        arr.setflags(write=False)
         self.data = arr
-        if bias is None:
-            self.bias = None
-        else:
-            b = np.array(bias, dtype=np.float64)
-            if b.shape != (arr.shape[0],):
-                raise DimensionError(f"bias must have shape ({arr.shape[0]},), got {b.shape}")
-            if not np.isfinite(b).all():
-                raise DomainError("bias contains non-finite values")
-            b.setflags(write=False)
-            self.bias = b
+        self.bias = None if bias is None else _frozen(bias, 1, "bias")
+        if self.bias is not None and self.bias.shape != (arr.shape[0],):
+            raise DimensionError(f"bias must have shape ({arr.shape[0]},), got {self.bias.shape}")
 
     @property
     def c_out(self) -> int:
@@ -211,7 +193,8 @@ def pad_zero(v, margin):
 
 def conv3d_output_shape(input_shape, k: int, padding: str) -> tuple[int, int, int]:
     """Spatial output shape of the convolution for the given padding."""
-    _check_padding(padding)
+    if padding not in PADDINGS:
+        raise DomainError(f"padding must be one of {PADDINGS}, got {padding!r}")
     if padding == PAD_SAME:
         return tuple(input_shape)
     out = tuple(s - k + 1 for s in input_shape)
@@ -272,17 +255,21 @@ def _correlate(xp: np.ndarray, w: np.ndarray, out_shape) -> np.ndarray:
     return out
 
 
+def _conv_geometry(x: FeatureMap, w: ConvWeights, padding: str) -> tuple[tuple[int, int, int], int]:
+    """Check one conv call's inputs; return its spatial output shape and zero margin per side."""
+    out_shape = conv3d_output_shape(x.data.shape[1:], w.k, padding)
+    if x.channels != w.c_in:
+        raise DimensionError(f"input has {x.channels} channels but weights expect {w.c_in}")
+    return out_shape, w.k // 2 if padding == PAD_SAME else 0
+
+
 def conv3d_forward(x: FeatureMap, w: ConvWeights, padding: str = PAD_SAME) -> FeatureMap:
     """Multichannel 3D cross-correlation.
 
     output[o] = sum_i input[i] correlated with w[o, i], plus bias[o].
     Weights are applied as stored (no flip).
     """
-    _check_padding(padding)
-    if x.channels != w.c_in:
-        raise DimensionError(f"input has {x.channels} channels but weights expect {w.c_in}")
-    out_shape = conv3d_output_shape(x.data.shape[1:], w.k, padding)
-    m = w.k // 2 if padding == PAD_SAME else 0
+    out_shape, m = _conv_geometry(x, w, padding)
     out = _correlate(_pad(x.data, (m,) * 3), w.data, out_shape)
     if w.bias is not None:
         out += w.bias[:, None, None, None]
@@ -297,17 +284,13 @@ def conv3d_backward(
     Returns (grad_input, grad_weights); grad_weights carries the bias
     gradient iff `w` has a bias.
     """
-    _check_padding(padding)
-    if x.channels != w.c_in:
-        raise DimensionError(f"input has {x.channels} channels but weights expect {w.c_in}")
-    out_shape = conv3d_output_shape(x.data.shape[1:], w.k, padding)
+    out_shape, m = _conv_geometry(x, w, padding)
     if grad_out.data.shape != (w.c_out,) + out_shape:
         raise DimensionError(
             f"grad_out shape {grad_out.data.shape} does not match forward output {(w.c_out,) + out_shape}"
         )
     go = grad_out.data
     k = w.k
-    m = k // 2 if padding == PAD_SAME else 0
     grad_w = np.zeros((w.c_out, w.c_in * k ** 3))
     for sl, cols in _slabs(_pad(x.data, (m,) * 3), k, out_shape):
         grad_w += go[:, sl].reshape(w.c_out, -1) @ cols.T

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -136,6 +137,19 @@ def _read_header(f) -> tuple[dict, bytes | None]:
             return fields, inline
 
 
+def _three_numbers(fields: dict, key: str, convert) -> tuple:
+    """Header value `key` as three numbers, each parsed by `convert` (int or float)."""
+    value = fields[key]
+    try:
+        # int() and float() read "1_0" as 10; MetaImage numbers have no digit separators
+        if "_" in value:
+            raise ValueError("digit-group underscore")
+        a, b, c = (convert(part) for part in value.split())
+    except ValueError as exc:
+        raise CorruptFileError(f"{key} must be three {convert.__name__} values, got {value!r}") from exc
+    return a, b, c
+
+
 def read_mha(path: str):
     """Read a MetaImage file; returns a BinaryMask for binary MET_UCHAR, else a Volume."""
     with open(path, "rb") as f:
@@ -161,19 +175,11 @@ def read_mha(path: str):
     for key in ("DimSize", "ElementType"):
         if key not in fields:
             raise CorruptFileError(f"missing required header key {key}")
-    try:
-        w, h, d = (int(part) for part in fields["DimSize"].split())
-    except ValueError as exc:
-        raise CorruptFileError(f"DimSize must be three integers, got {fields['DimSize']!r}") from exc
+    w, h, d = _three_numbers(fields, "DimSize", int)
     if min(w, h, d) < 1:
         raise CorruptFileError(f"DimSize entries must be positive, got {fields['DimSize']!r}")
     if "ElementSpacing" in fields:
-        try:
-            sx, sy, sz = (float(part) for part in fields["ElementSpacing"].split())
-        except ValueError as exc:
-            raise CorruptFileError(
-                f"ElementSpacing must be three floats, got {fields['ElementSpacing']!r}"
-            ) from exc
+        sx, sy, sz = _three_numbers(fields, "ElementSpacing", float)
         if not all(np.isfinite(s) and s > 0 for s in (sx, sy, sz)):
             raise CorruptFileError(f"ElementSpacing must be positive, got {fields['ElementSpacing']!r}")
     else:
@@ -232,10 +238,9 @@ def read_raw_json(json_path: str):
         kind = doc["kind"]
         dtype = doc["dtype"]
         shape = doc["shape"]
-        spacing = tuple(float(s) for s in doc["spacing"])
+        spacing = doc["spacing"]
         raw_name = doc["raw_file"]
-    # OverflowError: a JSON integer spacing too large for a float
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorruptFileError(f"JSON sidecar missing or mistyping a field: {exc}") from exc
     if kind not in ("image", "mask"):
         raise UnsupportedFormatError(f"unsupported kind {kind!r}")
@@ -245,8 +250,10 @@ def read_raw_json(json_path: str):
     if not (isinstance(shape, list) and len(shape) == 3
             and all(type(n) is int and n >= 1 for n in shape)):
         raise CorruptFileError(f"shape must be three positive integers, got {shape!r}")
-    if len(spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in spacing):
-        raise CorruptFileError(f"spacing must be three positive numbers, got {doc['spacing']!r}")
+    # the upper bound also refuses JSON integers that float() cannot hold
+    if not (isinstance(spacing, list) and len(spacing) == 3
+            and all(type(s) in (int, float) and 0 < s <= sys.float_info.max for s in spacing)):
+        raise CorruptFileError(f"sidecar spacing must be three positive finite numbers, got {spacing!r}")
     with open(_sibling(json_path, raw_name, "raw_file"), "rb") as f:
         payload = f.read()
     np_dtype = np.dtype("<f8") if kind == "image" else np.dtype("u1")

@@ -1,0 +1,60 @@
+"""The library names the benchmark under bench/ relies on.
+
+The traced benchmark run wraps functions by identity and reads block
+fields by name, so a simplification that merges, renames or removes one
+of them breaks the benchmark without failing any library test.  The
+names are read from the benchmark's source as literals; nothing under
+bench/ is imported or edited.
+"""
+
+import ast
+import dataclasses
+import importlib
+from pathlib import Path
+
+import pytest
+
+from oocs3d.block import BlockGrads, OocsBlockConfig, OocsBlockParams, init_block_params
+from oocs3d.tensor import ConvWeights
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _literal(file_name, name):
+    """The value of the module-level assignment `name = <literal>` in bench/`file_name`."""
+    tree = ast.parse((BENCH / file_name).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/{file_name} assigns no literal {name}")
+
+
+FUNCTIONS = _literal("tracing.py", "FUNCTIONS")
+CONTAINERS = _literal("tracing.py", "CONTAINERS")
+LEARNABLE = _literal("workloads.py", "LEARNABLE")
+
+
+@pytest.mark.parametrize("module, attr, span", FUNCTIONS, ids=[f"{m}.{a}" for m, a, _ in FUNCTIONS])
+def test_traced_function_resolves(module, attr, span):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_traced_functions_are_distinct_objects():
+    # the tracer replaces every reference to a function object by one
+    # wrapper, so two traced names bound to one object would share a span
+    objects = [getattr(importlib.import_module(m), a) for m, a, _ in FUNCTIONS]
+    assert len({id(f) for f in objects}) == len(objects)
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_traced_container_exists(name):
+    assert isinstance(getattr(importlib.import_module("oocs3d.tensor"), name), type)
+
+
+def test_block_fields_read_by_the_training_workload():
+    fields = {f.name for f in dataclasses.fields(OocsBlockParams)}
+    assert set(LEARNABLE) <= fields
+    assert set(LEARNABLE) <= {f.name for f in dataclasses.fields(BlockGrads)}
+    params = init_block_params(OocsBlockConfig(c_in=2, c_out=4), seed=0)
+    for name in ("fixed_on", "fixed_off"):
+        assert isinstance(getattr(params, name), ConvWeights)

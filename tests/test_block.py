@@ -10,7 +10,6 @@ from oocs3d.block import (
     OocsBlockParams,
     block_backward,
     block_forward,
-    expected_learnable_count,
     init_block_params,
     learnable_param_count,
     lift_kernel,
@@ -21,7 +20,7 @@ from oocs3d.kernels import KernelSpec, make_kernel
 from oocs3d.rng import make_rng
 from oocs3d.tensor import ConvWeights, FeatureMap, conv3d_backward, conv3d_forward
 
-from oracles import max_rel_err, naive_block_forward, naive_conv3d
+from oracles import max_rel_err, naive_block_forward, naive_conv3d, two_pathway_param_count
 
 
 def _zeroed_learnables(params):
@@ -324,7 +323,7 @@ class TestParameterLedger:
         cfg = OocsBlockConfig(c_in=c_in, c_out=c_out, k_learn=k_learn)
         params = init_block_params(cfg, seed=0)
         n = learnable_param_count(params)
-        assert n == expected_learnable_count(cfg)
+        assert n == two_pathway_param_count(c_in, c_out, k_learn)
         ch = c_out // 2
         k3 = k_learn ** 3
         assert n == 2 * (ch * c_in * k3 + ch + ch * ch * k3 + ch)
@@ -341,7 +340,7 @@ class TestParameterLedger:
         # (c_out^2 / 2) * k^3 fewer weights than the plain stack
         for c_in, c_out, k in [(1, 4, 3), (2, 8, 3), (2, 4, 5)]:
             cfg = OocsBlockConfig(c_in=c_in, c_out=c_out, k_learn=k)
-            n = expected_learnable_count(cfg)
+            n = two_pathway_param_count(c_in, c_out, k)
             plain = plain_block_param_count(cfg)
             assert plain - n == (c_out ** 2 // 2) * k ** 3
             assert n < plain

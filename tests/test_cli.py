@@ -12,6 +12,7 @@ import pytest
 from oocs3d import errors
 from oocs3d.cli import main
 from oocs3d.kernels import KernelSpec, make_kernel, kernel_from_json
+from oocs3d.perturb import gaussian_blur, gaussian_noise, motion_artifact
 from oocs3d.tensor import BinaryMask, ConvWeights, FeatureMap, Volume, conv3d_forward
 from oocs3d.volio import read_mha, read_raw_json, write_mha, write_raw_json
 
@@ -340,6 +341,41 @@ class TestPerturbCommand:
         capsys.readouterr()
         assert o1.read_bytes() != o2.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["gaussian_blur", "gaussian_noise", "motion"])
+    def test_output_equals_direct_call(self, kind, capsys, tmp_path):
+        v = Volume(np.random.default_rng(293).normal(size=(8, 6, 7)), spacing=(1.5, 1.0, 0.75))
+        src = tmp_path / "in.mha"
+        write_mha(v, str(src))
+        out = tmp_path / "o.mha"
+        rc, _, _ = _run(capsys, "--seed", "17", "perturb", "--in", str(src), "--out", str(out),
+                        "--kind", kind, "--sigma", "1.25", "--n", "3",
+                        "--max-rot", "7.5", "--max-trans", "2.5")
+        assert rc == 0
+        want = {
+            "gaussian_blur": lambda: gaussian_blur(v, 1.25),
+            "gaussian_noise": lambda: gaussian_noise(v, 1.25, 17),
+            "motion": lambda: motion_artifact(v, 3, 7.5, 2.5, 17),
+        }[kind]()
+        write_mha(want, str(tmp_path / "want.mha"))
+        assert out.read_bytes() == (tmp_path / "want.mha").read_bytes()
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("gaussian_blur", "--sigma", "0"),
+        ("gaussian_noise", "--sigma", "-1"),
+        ("gaussian_noise", "--sigma", "nan"),
+        ("motion", "--n", "0"),
+        ("motion", "--max-rot", "-1"),
+        ("motion", "--max-trans", "-0.5"),
+    ])
+    def test_bad_parameter_on_readable_input_writes_nothing(self, kind, flag, value, capsys, tmp_path):
+        src = tmp_path / "in.mha"
+        write_mha(Volume(np.ones((4, 4, 4))), str(src))
+        out = tmp_path / "o.mha"
+        rc, _, _ = _run(capsys, "perturb", "--in", str(src), "--out", str(out),
+                        "--kind", kind, flag, value)
+        assert rc == 2
+        assert not out.exists()
+
     def test_unknown_kind_is_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["perturb", "--in", "x.mha", "--out", "y.mha", "--kind", "shear"])
@@ -493,6 +529,16 @@ class TestTopLevel:
         rc, _, _ = _run(capsys, "eval", "--pred", str(ref), "--ref", str(ref))
         assert rc == 3
         assert "sidecar" in caplog.text
+
+    def test_non_numeric_sidecar_spacing_is_io_error(self, capsys, caplog, tmp_path):
+        ref = tmp_path / "ref.json"
+        write_raw_json(BinaryMask(np.ones((2, 2, 2), dtype=bool)), str(ref))
+        doc = json.loads(ref.read_text())
+        doc["spacing"] = ["1", "2", "3"]
+        ref.write_text(json.dumps(doc))
+        rc, _, _ = _run(capsys, "eval", "--pred", str(ref), "--ref", str(ref))
+        assert rc == 3
+        assert "spacing" in caplog.text
 
     def test_non_utf8_sidecar_is_io_error(self, capsys, caplog, tmp_path):
         ref = tmp_path / "ref.json"

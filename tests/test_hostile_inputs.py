@@ -1,8 +1,13 @@
-"""Property tests: malformed MetaImage and sidecar files never escape as tracebacks.
+"""Property tests: malformed files and arguments never escape as tracebacks.
 
 The readers may return a volume or a mask, or raise an `OocsError` or
 `OSError` subclass, which the CLI maps to exit codes 2-4; anything else
-would end `oocs3d` in a traceback (exit 1).  Examples are derandomized
+would end `oocs3d` in a traceback (exit 1).  Each subcommand that reads a
+volume is run on mutated files with fuzzed numeric arguments and must end
+in 0, 2, 3 or 4.  Arguments that set the size of an array the command
+builds (`--k`, `--crop`, `--spacing` and the blur `--sigma`) are drawn
+from small valid values and from invalid ones only: a huge valid size
+makes the command allocate what it asks for.  Examples are derandomized
 and bounded so each run checks the same cases in about a second.
 """
 
@@ -166,3 +171,83 @@ class TestEvalCommand:
                 rc = main(["eval", "--pred", pair[0], "--ref", pair[1],
                            "--csv-out", os.path.join(d, "out.csv")])
             assert rc in (0, 2, 3, 4)
+
+
+_EXTREME = st.sampled_from(["nan", "inf", "-inf", "1e+308", "-1e+308", "5e-324", "-0.0"])
+
+
+def _number(valid):
+    """A float argument: from its `valid` range, an extreme value, or any float."""
+    return valid.map(repr) | _EXTREME | st.floats().map(repr)
+
+
+_invalid_size = st.sampled_from(["nan", "inf", "-inf", "0.0", "-1.0", "-1e+300"])
+# which valid file, and its mutation; None leaves it intact so the arguments get checked
+_files = st.tuples(st.integers(0, 3), st.none() | st.tuples(_mutations, st.integers(0, 400)))
+
+
+def _exit_code(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            return exc.code
+
+
+def _hostile_input(d, files):
+    """One of the four valid files, byte-mutated and truncated in place; returns its path."""
+    which, mutation = files
+    path = _valid_files(d)[which]
+    if mutation is not None:
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(_mutate(data, *mutation))
+    return path
+
+
+class TestVolumeCommands:
+    @settings(FUZZ, max_examples=80)
+    @given(files=_files, ext=st.sampled_from([".mha", ".json"]), k=st.integers(-3, 9),
+           gamma=_number(st.floats(0.01, 0.99)), c=_number(st.floats(1.0, 10.0)),
+           padding=st.sampled_from(["same_zero", "valid"]))
+    def test_filter_never_exits_1(self, files, ext, k, gamma, c, padding):
+        with tempfile.TemporaryDirectory() as d:
+            rc = _exit_code(["filter", "--in", _hostile_input(d, files),
+                             "--out-on", os.path.join(d, "on" + ext),
+                             "--out-off", os.path.join(d, "off" + ext),
+                             f"--k={k}", f"--gamma={gamma}", f"--c={c}", f"--padding={padding}"])
+            assert rc in (0, 2, 3, 4)
+
+    @settings(FUZZ, max_examples=200)
+    @given(files=_files, kind=st.sampled_from(["gaussian_blur", "gaussian_noise", "motion"]),
+           blur_sigma=st.floats(0.05, 4.0).map(repr) | _invalid_size,
+           sigma=_number(st.floats(0.01, 10.0)), n=st.just(1) | st.integers(),
+           max_rot=_number(st.floats(0.0, 30.0)), max_trans=_number(st.floats(0.0, 10.0)))
+    def test_perturb_never_exits_1(self, files, kind, blur_sigma, sigma, n, max_rot, max_trans):
+        if kind == "gaussian_blur":
+            sigma = blur_sigma
+        with tempfile.TemporaryDirectory() as d:
+            rc = _exit_code(["perturb", "--in", _hostile_input(d, files), "--out", os.path.join(d, "o.mha"),
+                             f"--kind={kind}", f"--sigma={sigma}", f"--n={n}",
+                             f"--max-rot={max_rot}", f"--max-trans={max_trans}"])
+            assert rc in (0, 2, 3, 4)
+
+    @settings(FUZZ, max_examples=60)
+    @given(files=_files, mask=st.booleans(), zscore=st.booleans(),
+           spacing=st.none() | st.lists(st.floats(0.25, 1e300).map(repr) | _invalid_size,
+                                        min_size=3, max_size=3),
+           crop=st.none() | st.lists(st.integers(-2, 6), min_size=3, max_size=3))
+    def test_preprocess_never_exits_1(self, files, mask, zscore, spacing, crop):
+        with tempfile.TemporaryDirectory() as d:
+            argv = ["preprocess", "--in", _hostile_input(d, files), "--out", os.path.join(d, "o.json")]
+            if mask:
+                argv += ["--mask", os.path.join(d, "mask.mha"), "--mask-out", os.path.join(d, "mo.mha")]
+            if zscore:
+                argv.append("--zscore")
+            if spacing is not None:
+                argv += ["--spacing", *spacing]
+            if crop is not None:
+                argv += ["--crop", *map(str, crop)]
+            assert _exit_code(argv) in (0, 2, 3, 4)

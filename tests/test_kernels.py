@@ -225,6 +225,12 @@ class TestMakeKernel:
         with pytest.raises(ConfigError):
             make_kernel(KernelSpec(k=3), polarity="both")
 
+    @pytest.mark.parametrize("gamma, dims", [(1e-100, 3), (1e-200, 3), (5e-324, 2)])
+    def test_tiny_gamma_is_degenerate(self, gamma, dims):
+        # below about 5.6e-103 in 3-D, gamma**-dims exceeds the float range
+        with pytest.raises(DegenerateKernelError):
+            make_kernel(KernelSpec(k=3, gamma=gamma, dims=dims))
+
 
 class TestContinuousBalance:
     def test_residual_small_and_strictly_decreasing_3d(self):

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from oocs3d._geom import resample_affine, rigid_index_map
-from oocs3d.errors import ConfigError, DomainError
-from oocs3d.perturb import (
-    PerturbSpec,
-    apply,
-    gaussian_blur,
-    gaussian_noise,
-    motion_artifact,
-)
+from oocs3d.cli import main
+from oocs3d.errors import DomainError
+from oocs3d.perturb import gaussian_blur, gaussian_noise, motion_artifact
 from oocs3d.rng import make_rng
 from oocs3d.tensor import Volume
 
@@ -52,21 +47,36 @@ def _checkerboard(n):
 
 
 class TestSpecValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            PerturbSpec(kind="salt_pepper")
+    def test_unknown_kind_rejected(self, tmp_path):
+        # the CLI's --kind choices are the one list of kinds; anything else
+        # is a usage error before any file is read or written
+        out = tmp_path / "o.mha"
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb", "--in", str(tmp_path / "in.mha"), "--out", str(out),
+                  "--kind", "salt_pepper"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_sigma_must_be_positive_for_blur_and_noise(self):
+        v = Volume(np.zeros((3, 3, 3)))
         with pytest.raises(DomainError):
-            PerturbSpec(kind="gaussian_blur", sigma=0.0)
+            gaussian_blur(v, 0.0)
         with pytest.raises(DomainError):
-            PerturbSpec(kind="gaussian_noise", sigma=-1.0)
+            gaussian_noise(v, -1.0, 0)
 
     def test_motion_bounds(self):
+        v = Volume(np.zeros((4, 3, 3)))
         with pytest.raises(DomainError):
-            PerturbSpec(kind="motion", n_transforms=0)
+            motion_artifact(v, n_transforms=0)
         with pytest.raises(DomainError):
-            PerturbSpec(kind="motion", max_rot_deg=-1.0)
+            motion_artifact(v, max_rot_deg=-1.0)
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 1e308])
+    @pytest.mark.parametrize("name", ["max_rot_deg", "max_trans_mm"])
+    def test_motion_bounds_must_be_finite(self, name, bound):
+        # NaN is not < 0, and uniform draws over [-1e308, 1e308] overflow
+        with pytest.raises(DomainError):
+            motion_artifact(Volume(np.zeros((4, 3, 3))), **{name: bound})
 
 
 class TestBlur:
@@ -205,28 +215,3 @@ class TestMotion:
         a = motion_artifact(v, n_transforms=2, seed=13)
         b = motion_artifact(v, n_transforms=2, seed=13)
         assert a.data.tobytes() == b.data.tobytes()
-
-
-class TestApply:
-    def test_blur_dispatch_equals_direct_call(self):
-        rng = np.random.default_rng(113)
-        v = _volume(rng)
-        spec = PerturbSpec(kind="gaussian_blur", sigma=1.25)
-        np.testing.assert_array_equal(apply(v, spec).data, gaussian_blur(v, 1.25).data)
-
-    def test_noise_dispatch_uses_spec_seed(self):
-        rng = np.random.default_rng(127)
-        v = _volume(rng)
-        spec = PerturbSpec(kind="gaussian_noise", sigma=3.0, seed=21)
-        np.testing.assert_array_equal(
-            apply(v, spec).data, gaussian_noise(v, 3.0, seed=21).data
-        )
-
-    def test_repeat_application_identical(self):
-        rng = np.random.default_rng(131)
-        v = _volume(rng)
-        spec = PerturbSpec(kind="motion", n_transforms=2, seed=17)
-        a = apply(v, spec)
-        b = apply(v, spec)
-        assert a.data.tobytes() == b.data.tobytes()
-        assert a.spacing == v.spacing

@@ -90,6 +90,33 @@ class TestConvWeights:
             ConvWeights(np.zeros((2, 3, 3, 3, 3)), bias=np.zeros(3))
 
 
+class TestContainerValidation:
+    @pytest.mark.parametrize("build, shape", [
+        pytest.param(Volume, (2, 3, 4), id="volume"),
+        pytest.param(FeatureMap, (2, 3, 4, 5), id="feature_map"),
+        pytest.param(ConvWeights, (2, 1, 3, 3, 3), id="weights"),
+        pytest.param(lambda b: ConvWeights(np.zeros((2, 1, 1, 1, 1)), b), (2,), id="bias"),
+    ])
+    @pytest.mark.parametrize("case, error", [
+        ("wrong_rank", DimensionError),
+        ("empty_axis", DimensionError),
+        ("nan", DomainError),
+        ("+inf", DomainError),
+        ("-inf", DomainError),
+    ])
+    def test_rule_raises_its_error_class(self, build, shape, case, error):
+        build(np.ones(shape))
+        if case == "wrong_rank":
+            bad = np.ones(shape + (1,))
+        elif case == "empty_axis":
+            bad = np.ones((0,) + shape[1:])
+        else:
+            bad = np.ones(shape)
+            bad.flat[-1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[case]
+        with pytest.raises(error):
+            build(bad)
+
+
 class TestPadZero:
     def test_margin_zero_is_identity(self):
         fm = FeatureMap(np.random.default_rng(0).normal(size=(2, 3, 3, 3)))

@@ -233,6 +233,16 @@ class TestMhaErrorPaths:
         with pytest.raises(CorruptFileError, match="ElementDataFile"):
             read_mha(str(p))
 
+    @pytest.mark.parametrize("key, value, voxels", [
+        ("DimSize", "1_0 1 1", 10),  # int() reads 10
+        ("ElementSpacing", "1_5 1 1", 2),  # float() reads 15.0
+    ])
+    def test_digit_group_underscore_rejected(self, tmp_path, key, value, voxels):
+        p = str(tmp_path / "bad.mha")
+        _write_header_and_payload(p, b"\x00" * 8 * voxels, **{key: value})
+        with pytest.raises(CorruptFileError, match=key):
+            read_mha(p)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_mha(str(tmp_path / "absent.mha"))
@@ -363,7 +373,9 @@ class TestRawJson:
 
     @pytest.mark.parametrize(
         "spacing", [[-1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, float("nan")],
-                    [float("inf"), 1.0, 1.0], [1.0, 1.0]]
+                    [float("inf"), 1.0, 1.0], [1.0, 1.0],
+                    # not a JSON list of three numbers, though iterating gives three
+                    "123", {"1": 0, "2": 0, "3": 0}, ["1", "2", "3"], [True, True, True]]
     )
     def test_bad_spacing_is_corrupt(self, tmp_path, spacing):
         v = _volume(np.random.default_rng(269), shape=(1, 1, 2))
