@@ -27,7 +27,7 @@ from .block import (
 )
 from .errors import DomainError
 from .rng import make_rng
-from .tensor import ConvWeights, FeatureMap
+from .tensor import ConvWeights, FeatureMap, _check_size
 
 _LEARNABLE = ("w1_on", "w1_off", "w2_on", "w2_off")
 # offset separating the probe stream from the parameter-init stream
@@ -83,6 +83,9 @@ def block_gradient_check(
         raise DomainError(f"step size must be positive, got {h!r}")
     if n_dirs < 1:
         raise DomainError(f"n_dirs must be >= 1, got {n_dirs!r}")
+    if len(spatial) != 3 or min(spatial) < 1:
+        raise DomainError(f"spatial must be three positive sizes, got {spatial!r}")
+    _check_size((cfg.c_out,) + tuple(spatial), "gradient-check probe")
     params = init_block_params(cfg, seed)
     rng = make_rng(seed + _PROBE_STREAM)
     x = FeatureMap(rng.uniform(-1.0, 1.0, (cfg.c_in,) + tuple(spatial)))

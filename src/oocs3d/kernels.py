@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateKernelError, DomainError, InvalidKernelError
+from .tensor import _check_size
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class KernelSpec:
             raise DomainError(f"balance constant c must be >= 1, got {self.c!r}")
         if self.dims not in (2, 3):
             raise DomainError(f"dims must be 2 or 3, got {self.dims!r}")
+        _check_size((self.k,) * self.dims, "kernel")
 
 
 @dataclass(frozen=True)

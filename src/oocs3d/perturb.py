@@ -15,7 +15,7 @@ from scipy.ndimage import correlate1d
 from ._geom import resample_affine, rigid_index_map
 from .errors import DomainError
 from .rng import make_rng
-from .tensor import Volume
+from .tensor import Volume, _check_size
 
 
 def gaussian_blur(v: Volume, sigma: float) -> Volume:
@@ -27,6 +27,8 @@ def gaussian_blur(v: Volume, sigma: float) -> Volume:
     """
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be positive, got {sigma!r}")
+    # 8 sigma + 3 bounds the 2 ceil(4 sigma) + 1 taps before the ceiling can overflow
+    _check_size((8.0 * sigma + 3.0,), f"blur kernel for sigma={sigma!r}")
     radius = math.ceil(4.0 * sigma)
     offs = np.arange(-radius, radius + 1, dtype=np.float64)
     kern = np.exp(-(offs ** 2) / (2.0 * sigma * sigma))

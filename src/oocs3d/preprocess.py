@@ -18,7 +18,7 @@ import numpy as np
 from ._geom import resample_affine, rigid_index_map
 from .errors import DimensionError, DomainError, NormalizationError, ResampleError
 from .rng import make_rng
-from .tensor import BinaryMask, Volume, _check_spacing
+from .tensor import BinaryMask, Volume, _check_size, _check_spacing
 
 
 def _order(obj) -> int:
@@ -33,9 +33,9 @@ def _order(obj) -> int:
 def _resample(obj, target_spacing):
     ts = _check_spacing(target_spacing)
     order = _order(obj)
-    out_shape = tuple(
-        int(math.floor(n * s / t + 0.5)) for n, s, t in zip(obj.shape, obj.spacing, ts)
-    )
+    extents = [n * s / t + 0.5 for n, s, t in zip(obj.shape, obj.spacing, ts)]
+    _check_size(extents, f"resampling to spacing {ts}")
+    out_shape = tuple(int(math.floor(e)) for e in extents)
     if any(n < 1 for n in out_shape):
         raise ResampleError(f"target spacing {ts} collapses shape {obj.shape} to {out_shape}")
     out = obj.data
@@ -91,6 +91,7 @@ def _crop_or_pad(obj, target_shape):
     t = tuple(int(x) for x in target_shape)
     if len(t) != 3 or any(x < 1 for x in t):
         raise DomainError(f"target shape must be three positive integers, got {target_shape!r}")
+    _check_size(t, "crop/pad target")
     slices, pads = zip(*(_crop_pad_indices(n, ti) for n, ti in zip(obj.shape, t)))
     return type(obj)(np.pad(obj.data[tuple(slices)], pads), obj.spacing)
 

@@ -14,19 +14,23 @@ Conventions, fixed once for the whole package:
 * zero padding copies the input into the interior of a zeroed buffer,
   and the im2col columns are gathered through a read-only strided window
   view of that buffer (or of the input itself when nothing is padded);
-* convolutions are im2col matrix products done by BLAS, one per depth
-  slab.  Results are byte-identical from run to run at a fixed BLAS
-  thread count.  The summation order inside a product is BLAS's choice,
-  so another thread count or BLAS build may change the last bits (the
-  tests check that 1 and 2 threads agree byte for byte).  Negating the
-  weights negates every partial sum, so an Off response is bit-exactly
-  minus its On response.
+* convolutions are im2col matrix products done by BLAS, one per output
+  tile (see `_slabs`).  Results are byte-identical from run to run at a
+  fixed BLAS thread count.  The summation order inside a product is
+  BLAS's choice, which may depend on the product's shape, so another
+  thread count, BLAS build or tile size may change the last bits (the
+  tests check that 1 and 2 threads agree byte for byte).  The weight
+  gradient sums one product per tile, so the tiling sets its order of
+  partial sums too.  Negating the weights negates every partial
+  sum, so an Off response is bit-exactly minus its On response.
 
 Containers freeze their buffers after validation; instances are safe to
 share across threads, and every operation returns fresh arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,8 +40,28 @@ PAD_SAME = "same_zero"
 PAD_VALID = "valid"
 PADDINGS = (PAD_SAME, PAD_VALID)
 
-# Upper bound on the im2col column buffer per depth slab; one slab is the floor.
+# Upper bound on the im2col column buffer, so a tile's columns stay in cache.
+# A depth slice that needs more is split into row tiles of at least
+# _TILE_MIN_COLS output voxels, which may exceed the budget: narrower
+# tiles make the matrix products too thin to pay for their calls.
 _COL_BYTES = 1 << 20
+_TILE_MIN_COLS = 512
+
+
+# Most elements (voxels or kernel taps) an argument may ask one array to
+# hold: 2**31, 16 GiB of float64.  Commands refuse a larger request with
+# DomainError before they allocate anything.
+MAX_ELEMENTS = 1 << 31
+
+
+def _check_size(shape, what: str) -> None:
+    """Raise DomainError if an array of `shape` would hold more than MAX_ELEMENTS elements.
+
+    Entries are ints of any size or, for an extent not yet rounded,
+    floats; inf and NaN fail.
+    """
+    if not all(s <= MAX_ELEMENTS for s in shape) or math.prod(shape) > MAX_ELEMENTS:
+        raise DomainError(f"{what} would hold more than {MAX_ELEMENTS} elements, shape {tuple(shape)!r}")
 
 
 def _check_spacing(spacing) -> tuple[float, float, float]:
@@ -220,28 +244,39 @@ def _pad(a: np.ndarray, m: tuple[int, int, int]) -> np.ndarray:
 
 
 def _slabs(xp: np.ndarray, k: int, out_shape):
-    """Yield (depth slice, im2col columns) over the output, one depth slab at a time.
+    """Yield (output index, im2col columns) over the output, one tile at a time.
 
     Each column matrix has one row per (input channel, kz, ky, kx) tap and
-    one column per output voxel of the slab.  The taps are read through a
+    one column per output voxel of the tile.  The taps are read through a
     read-only (c, kz, ky, kx, d, h, w) view built on the contiguous `xp`
     from its own strides: a window offset and an output position step
-    through the same array axis.  All slabs share one buffer of at most
-    `_COL_BYTES`, unless a single depth slice needs more, so a yielded
-    matrix is only valid until the next one is drawn.
+    through the same array axis.  A tile is a slab of whole depth slices,
+    as deep as `_COL_BYTES` allows; when one slice needs more, it is a run
+    of whole output rows of one slice, at least `_TILE_MIN_COLS` voxels
+    where the slice has that many.  Either way the index selects a
+    C-contiguous block of each channel of a (C, D, H, W) output, so
+    `out[index].reshape(C, -1)` is a view.  All tiles share one buffer, so
+    a yielded matrix is only valid until the next one is drawn.
     """
     d, h, w = out_shape
     c = xp.shape[0]
     sc, sz, sy, sx = xp.strides
     win = np.ndarray((c, k, k, k, d, h, w), xp.dtype, xp, 0, (sc, sz, sy, sx, sz, sy, sx))
     win.flags.writeable = False
-    depth = min(d, max(1, _COL_BYTES // (c * k ** 3 * h * w * 8)))
-    buf = np.empty((c, k, k, k, depth, h, w))
+    taps = c * k ** 3
+    rows = _COL_BYTES // (taps * w * 8)
+    if rows >= h:
+        depth, rows = min(d, rows // h), h
+    else:
+        depth, rows = 1, min(h, max(rows, -(-_TILE_MIN_COLS // w)))
+    buf = np.empty(taps * depth * rows * w)
     for z in range(0, d, depth):
         n = min(depth, d - z)
-        cols = buf[:, :, :, :, :n]
-        np.copyto(cols, win[:, :, :, :, z:z + n])
-        yield slice(z, z + n), cols.reshape(c * k ** 3, n * h * w)
+        for y in range(0, h, rows):
+            r = min(rows, h - y)
+            cols = buf[:taps * n * r * w].reshape(c, k, k, k, n, r, w)
+            np.copyto(cols, win[:, :, :, :, z:z + n, y:y + r])
+            yield (slice(None), slice(z, z + n), slice(y, y + r)), cols.reshape(taps, n * r * w)
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray, out_shape) -> np.ndarray:
@@ -249,9 +284,8 @@ def _correlate(xp: np.ndarray, w: np.ndarray, out_shape) -> np.ndarray:
     c_out, k = w.shape[0], w.shape[2]
     out = np.empty((c_out,) + tuple(out_shape))
     wmat = w.reshape(c_out, -1)
-    for sl, cols in _slabs(xp, k, out_shape):
-        # a depth slice of a C-ordered (C, D, H, W) array reshapes to a view
-        np.matmul(wmat, cols, out=out[:, sl].reshape(c_out, -1))
+    for idx, cols in _slabs(xp, k, out_shape):
+        np.matmul(wmat, cols, out=out[idx].reshape(c_out, -1))
     return out
 
 
@@ -292,8 +326,8 @@ def conv3d_backward(
     go = grad_out.data
     k = w.k
     grad_w = np.zeros((w.c_out, w.c_in * k ** 3))
-    for sl, cols in _slabs(_pad(x.data, (m,) * 3), k, out_shape):
-        grad_w += go[:, sl].reshape(w.c_out, -1) @ cols.T
+    for idx, cols in _slabs(_pad(x.data, (m,) * 3), k, out_shape):
+        grad_w += go[idx].reshape(w.c_out, -1) @ cols.T
     # grad_input is the full correlation of grad_out with the flipped,
     # channel-transposed kernel: pad so every input voxel sees all k^3 taps
     w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from oocs3d import errors
+from oocs3d import errors, tensor
 from oocs3d.cli import main
 from oocs3d.kernels import KernelSpec, make_kernel, kernel_from_json
 from oocs3d.perturb import gaussian_blur, gaussian_noise, motion_artifact
@@ -20,8 +20,11 @@ from oracles import naive_conv3d
 
 
 # Prints a digest of one block forward and backward pass at the thread
-# count given as argv[1], pinned the same way `--threads` pins it.
-_BLOCK_DIGEST = """
+# count given as argv[1], pinned the same way `--threads` pins it.  The
+# input's 40 x 36 slices are wide enough that the engine splits every
+# 4-channel conv into row tiles, so the weight gradients sum over them.
+_DIGEST_SHAPE = (4, 6, 40, 36)
+_BLOCK_DIGEST = f"""
 import hashlib, sys
 from oocs3d.cli import _apply_threads
 _apply_threads(int(sys.argv[1]))
@@ -31,7 +34,7 @@ from oocs3d.tensor import FeatureMap
 cfg = OocsBlockConfig(c_in=4, c_out=8)
 rng = np.random.default_rng(5)
 params = init_block_params(cfg, 5)
-y, cache = block_forward(FeatureMap(rng.normal(size=(4, 12, 14, 16))), params, cfg)
+y, cache = block_forward(FeatureMap(rng.normal(size={_DIGEST_SHAPE})), params, cfg)
 gx, grads = block_backward(FeatureMap(rng.normal(size=y.shape)), cache, params, cfg)
 h = hashlib.sha256(y.data.tobytes() + gx.data.tobytes())
 for w in (grads.w1_on, grads.w1_off, grads.w2_on, grads.w2_off):
@@ -484,6 +487,36 @@ class TestGradcheckCommand:
         assert any(ln.endswith(",FAIL") for ln in out.strip().split("\n")[1:])
 
 
+class TestSizeLimit:
+    """Arguments that size an array past `tensor.MAX_ELEMENTS` exit 2 before allocating it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["perturb", "--out", "{out}", "--kind", "gaussian_blur", "--sigma", "1e300"],
+        ["perturb", "--out", "{out}", "--kind", "gaussian_blur", "--sigma", "1e308"],
+        ["preprocess", "--out", "{out}", "--spacing", "1e-300", "1", "1"],
+        ["preprocess", "--out", "{out}", "--crop", "100000000000000000000000", "2", "2"],
+        ["filter", "--out-on", "{out}", "--out-off", "{out}", "--k", "100001"],
+    ], ids=["blur-1e300", "blur-1e308", "spacing", "crop", "filter-k"])
+    def test_oversized_argument_is_usage_error(self, argv, capsys, caplog, tmp_path):
+        src, out = tmp_path / "in.mha", tmp_path / "o.mha"
+        write_mha(Volume(np.arange(24.0).reshape(4, 3, 2)), str(src))
+        argv = [a.format(out=out) for a in argv]
+        rc, _, _ = _run(capsys, argv[0], "--in", str(src), *argv[1:])
+        assert rc == 2
+        assert "more than 2147483648 elements" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--k", "100001"],
+        ["gradcheck", "--spatial", "100000", "100000", "100000"],
+    ], ids=["kernel-k", "gradcheck-spatial"])
+    def test_oversized_argument_without_input_is_usage_error(self, argv, capsys, caplog):
+        rc, out, _ = _run(capsys, *argv)
+        assert rc == 2
+        assert "more than 2147483648 elements" in caplog.text
+        assert out == ""
+
+
 class TestTopLevel:
     def test_missing_input_file_is_io_error(self, capsys, tmp_path):
         rc, _, _ = _run(capsys, "filter", "--in", str(tmp_path / "nope.mha"),
@@ -587,6 +620,8 @@ class TestTopLevel:
     def test_conv_outputs_are_byte_identical_across_thread_counts(self, tmp_path):
         # the engine's contract: byte-identical results at 1 and 2 BLAS
         # threads, for the single-channel filter and the multichannel block
+        c, _, h, w = _DIGEST_SHAPE
+        assert c * 3 ** 3 * h * w * 8 > tensor._COL_BYTES  # one slice's columns exceed the budget
         rng = np.random.default_rng(287)
         src = tmp_path / "in.mha"
         write_mha(Volume(rng.normal(size=(20, 24, 28))), str(src))

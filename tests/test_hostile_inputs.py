@@ -6,9 +6,10 @@ would end `oocs3d` in a traceback (exit 1).  Each subcommand that reads a
 volume is run on mutated files with fuzzed numeric arguments and must end
 in 0, 2, 3 or 4.  Arguments that set the size of an array the command
 builds (`--k`, `--crop`, `--spacing` and the blur `--sigma`) are drawn
-from small valid values and from invalid ones only: a huge valid size
-makes the command allocate what it asks for.  Examples are derandomized
-and bounded so each run checks the same cases in about a second.
+from small valid values, invalid ones and sizes past the `MAX_ELEMENTS`
+limit only: a valid size below the limit makes the command allocate
+what it asks for.  Examples are derandomized and bounded so each run
+checks the same cases in about a second.
 """
 
 import json
@@ -209,7 +210,7 @@ def _hostile_input(d, files):
 
 class TestVolumeCommands:
     @settings(FUZZ, max_examples=80)
-    @given(files=_files, ext=st.sampled_from([".mha", ".json"]), k=st.integers(-3, 9),
+    @given(files=_files, ext=st.sampled_from([".mha", ".json"]), k=st.integers(-3, 9) | st.just(100001),
            gamma=_number(st.floats(0.01, 0.99)), c=_number(st.floats(1.0, 10.0)),
            padding=st.sampled_from(["same_zero", "valid"]))
     def test_filter_never_exits_1(self, files, ext, k, gamma, c, padding):
@@ -222,7 +223,7 @@ class TestVolumeCommands:
 
     @settings(FUZZ, max_examples=200)
     @given(files=_files, kind=st.sampled_from(["gaussian_blur", "gaussian_noise", "motion"]),
-           blur_sigma=st.floats(0.05, 4.0).map(repr) | _invalid_size,
+           blur_sigma=st.floats(0.05, 4.0).map(repr) | _invalid_size | st.sampled_from(["1e300", "1e308"]),
            sigma=_number(st.floats(0.01, 10.0)), n=st.just(1) | st.integers(),
            max_rot=_number(st.floats(0.0, 30.0)), max_trans=_number(st.floats(0.0, 10.0)))
     def test_perturb_never_exits_1(self, files, kind, blur_sigma, sigma, n, max_rot, max_trans):
@@ -236,9 +237,9 @@ class TestVolumeCommands:
 
     @settings(FUZZ, max_examples=60)
     @given(files=_files, mask=st.booleans(), zscore=st.booleans(),
-           spacing=st.none() | st.lists(st.floats(0.25, 1e300).map(repr) | _invalid_size,
+           spacing=st.none() | st.lists(st.floats(0.25, 1e300).map(repr) | _invalid_size | st.just("1e-300"),
                                         min_size=3, max_size=3),
-           crop=st.none() | st.lists(st.integers(-2, 6), min_size=3, max_size=3))
+           crop=st.none() | st.lists(st.integers(-2, 6) | st.just(10 ** 23), min_size=3, max_size=3))
     def test_preprocess_never_exits_1(self, files, mask, zscore, spacing, crop):
         with tempfile.TemporaryDirectory() as d:
             argv = ["preprocess", "--in", _hostile_input(d, files), "--out", os.path.join(d, "o.json")]

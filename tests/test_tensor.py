@@ -332,44 +332,67 @@ class TestConvBackward:
             conv3d_backward(x, w, bad, PAD_SAME)
 
 
-class TestSlabBoundaries:
-    """The engine splits the output depth into slabs sized by `_COL_BYTES`.
+class TestSizeLimit:
+    """`_check_size` refuses more than MAX_ELEMENTS elements, counting exactly."""
 
-    The budget is shrunk so the forward output (depth 7) splits into
-    1-voxel slabs or into uneven slabs of 3, 3 and 1.
+    def test_limit_is_inclusive(self):
+        tensor._check_size((tensor.MAX_ELEMENTS,), "x")
+        tensor._check_size((1 << 10, 1 << 10, 1 << 11), "x")
+        with pytest.raises(DomainError):
+            tensor._check_size((tensor.MAX_ELEMENTS + 1,), "x")
+        with pytest.raises(DomainError):
+            tensor._check_size((1 << 10, 1 << 10, (1 << 11) + 1), "x")
+
+    @pytest.mark.parametrize("shape", [(10 ** 400, 1, 1), (float("inf"), 1.0), (float("nan"),), (1e300, 1e300)])
+    def test_huge_or_nonfinite_extent_rejected(self, shape):
+        with pytest.raises(DomainError):
+            tensor._check_size(shape, "x")
+
+
+class TestSlabBoundaries:
+    """The engine splits the output into tiles sized by `_COL_BYTES`.
+
+    The budget is shrunk so the forward output (7, 3, 2) splits into slabs
+    of 1 depth slice or uneven slabs of 3, 3 and 1 slices, or, below one
+    slice, into 1-row tiles or uneven tiles of 2 and 1 rows.  The column
+    floor is lowered to one voxel so it does not merge the row tiles.
     """
 
     OUT = (7, 3, 2)
     C_OUT = 2
+    # test id -> (depth slices, output rows) one tile's columns fill
+    TILES = {"1": (1, 3), "3": (3, 3), "rows2": (1, 2), "rows1": (1, 1)}
 
     @staticmethod
-    def _setup(monkeypatch, k, padding, c_in, slab_depth, seed):
+    def _setup(monkeypatch, k, padding, c_in, tile, seed):
         grow = 0 if padding == PAD_SAME else k - 1
         spatial = tuple(s + grow for s in TestSlabBoundaries.OUT)
-        d, h, w = TestSlabBoundaries.OUT
-        monkeypatch.setattr(tensor, "_COL_BYTES", slab_depth * c_in * k ** 3 * h * w * 8)
+        depth, rows = TestSlabBoundaries.TILES[tile]
+        w = TestSlabBoundaries.OUT[2]
+        monkeypatch.setattr(tensor, "_COL_BYTES", depth * rows * c_in * k ** 3 * w * 8)
+        monkeypatch.setattr(tensor, "_TILE_MIN_COLS", 1)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(c_in,) + spatial)
         w0 = rng.normal(size=(TestSlabBoundaries.C_OUT, c_in, k, k, k))
         probe = rng.normal(size=(TestSlabBoundaries.C_OUT,) + TestSlabBoundaries.OUT)
         return x, w0, rng.normal(size=TestSlabBoundaries.C_OUT), probe
 
-    @pytest.mark.parametrize("slab_depth", [1, 3])
+    @pytest.mark.parametrize("tile", list(TILES))
     @pytest.mark.parametrize("c_in", [1, 3])
     @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_forward_matches_oracle(self, monkeypatch, k, padding, c_in, slab_depth):
-        x, w0, bias, _ = self._setup(monkeypatch, k, padding, c_in, slab_depth, 37)
+    def test_forward_matches_oracle(self, monkeypatch, k, padding, c_in, tile):
+        x, w0, bias, _ = self._setup(monkeypatch, k, padding, c_in, tile, 37)
         got = conv3d_forward(FeatureMap(x), ConvWeights(w0, bias=bias), padding).data
         want = naive_conv3d(x, w0, bias, padding)
         assert np.abs(got - want).max() < 1e-9
 
-    @pytest.mark.parametrize("slab_depth", [1, 3])
+    @pytest.mark.parametrize("tile", list(TILES))
     @pytest.mark.parametrize("c_in", [1, 3])
     @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_backward_matches_central_difference(self, monkeypatch, k, padding, c_in, slab_depth):
-        x0, w0, bias, probe = self._setup(monkeypatch, k, padding, c_in, slab_depth, 41)
+    def test_backward_matches_central_difference(self, monkeypatch, k, padding, c_in, tile):
+        x0, w0, bias, probe = self._setup(monkeypatch, k, padding, c_in, tile, 41)
 
         def phi_w(wdata):
             return float(np.sum(conv3d_forward(FeatureMap(x0), ConvWeights(wdata), padding).data * probe))
@@ -384,13 +407,13 @@ class TestSlabBoundaries:
         assert max_rel_err(gx.data, central_difference(phi_x, x0, h=1.0)) < 1e-6
         assert max_rel_err(gw.bias, probe.sum(axis=(1, 2, 3))) < 1e-12
 
-    @pytest.mark.parametrize("slab_depth", [1, 3])
+    @pytest.mark.parametrize("tile", list(TILES))
     @pytest.mark.parametrize("c_in", [1, 3])
     @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_adjoint_identity(self, monkeypatch, k, padding, c_in, slab_depth):
+    def test_adjoint_identity(self, monkeypatch, k, padding, c_in, tile):
         # <conv(x, w), g> = <x, grad_x(g)> = <w, grad_w(g)>: conv is bilinear
-        x, w0, _, g = self._setup(monkeypatch, k, padding, c_in, slab_depth, 43)
+        x, w0, _, g = self._setup(monkeypatch, k, padding, c_in, tile, 43)
         lhs = float(np.sum(conv3d_forward(FeatureMap(x), ConvWeights(w0), padding).data * g))
         gx, gw = conv3d_backward(FeatureMap(x), ConvWeights(w0), FeatureMap(g), padding)
         assert abs(float(np.sum(x * gx.data)) - lhs) <= 1e-12 * abs(lhs)
@@ -406,8 +429,26 @@ _IM2COL_CASES = [
 ]
 
 
+_ROW_TILE_CASES = [
+    (shape, k, padding, rows, floor_rows)
+    for shape, k, padding in _IM2COL_CASES
+    for rows, floor_rows in ((1, 1), (2, 1), (4, 1), (1, 2), (1, 9))
+    if rows < conv3d_output_shape(shape, k, padding)[1]
+]
+
+
 class TestIm2col:
     """The engine's strided window view against the np.pad + sliding_window_view oracle."""
+
+    @staticmethod
+    def _tiles(x, k, padding, out_shape):
+        """The output index of every tile, and all tiles' columns side by side."""
+        m = k // 2 if padding == PAD_SAME else 0
+        tiles, blocks = [], []
+        for idx, cols in tensor._slabs(tensor._pad(x, (m,) * 3), k, out_shape):
+            tiles.append(idx)
+            blocks.append(cols.copy())  # the tile buffer is reused by the next tile
+        return tiles, np.concatenate(blocks, axis=1)
 
     @pytest.mark.parametrize("multi_slab", [False, True])
     @pytest.mark.parametrize("c", [1, 3])
@@ -418,14 +459,27 @@ class TestIm2col:
         if multi_slab:
             monkeypatch.setattr(tensor, "_COL_BYTES", c * k ** 3 * h * w * 8)
         x = np.random.default_rng(61).normal(size=(c,) + shape)
-        m = k // 2 if padding == PAD_SAME else 0
-        starts, blocks = [], []
-        for sl, cols in tensor._slabs(tensor._pad(x, (m,) * 3), k, out_shape):
-            starts.append(sl.start)
-            blocks.append(cols.copy())  # the slab buffer is reused by the next slab
-        assert starts == (list(range(d)) if multi_slab else [0])
-        assert sl.stop == d
-        assert np.array_equal(np.concatenate(blocks, axis=1), im2col(x, k, padding))
+        tiles, cols = self._tiles(x, k, padding, out_shape)
+        depth = 1 if multi_slab else d
+        assert tiles == [(slice(None), slice(z, z + depth), slice(0, h)) for z in range(0, d, depth)]
+        assert np.array_equal(cols, im2col(x, k, padding))
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("shape,k,padding,rows,floor_rows", _ROW_TILE_CASES)
+    def test_row_tiles_equal_oracle_bytes(self, monkeypatch, shape, k, padding, c, rows, floor_rows):
+        # the budget holds `rows` output rows, fewer than a slice has; the column
+        # floor asks for `floor_rows`, at most one whole slice
+        out_shape = conv3d_output_shape(shape, k, padding)
+        d, h, w = out_shape
+        monkeypatch.setattr(tensor, "_COL_BYTES", rows * c * k ** 3 * w * 8)
+        monkeypatch.setattr(tensor, "_TILE_MIN_COLS", (floor_rows - 1) * w + 1)
+        x = np.random.default_rng(71).normal(size=(c,) + shape)
+        tiles, cols = self._tiles(x, k, padding, out_shape)
+        r = min(h, max(rows, floor_rows))
+        assert tiles == [
+            (slice(None), slice(z, z + 1), slice(y, min(y + r, h))) for z in range(d) for y in range(0, h, r)
+        ]
+        assert np.array_equal(cols, im2col(x, k, padding))
 
 
 class TestInputsUntouched:
