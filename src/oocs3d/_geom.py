@@ -48,6 +48,20 @@ def rigid_index_map(shape, spacing, rot_deg, trans_mm, scale: float = 1.0):
 
 def resample_affine(data: np.ndarray, matrix: np.ndarray, offset: np.ndarray, order: int) -> np.ndarray:
     """Affine resample with zeros outside the input footprint."""
-    return ndimage.affine_transform(
-        data, matrix, offset=offset, order=order, mode="constant", cval=0.0, prefilter=False
+    out = np.empty_like(data)
+    resample_rows(data, matrix, offset, order, out, slice(0, data.shape[1]))
+    return out
+
+
+def resample_rows(
+    data: np.ndarray, matrix: np.ndarray, offset: np.ndarray, order: int, out: np.ndarray, rows: slice
+) -> None:
+    """Write rows `rows` of the H axis of resample_affine's result into out[:, rows].
+
+    Row y of the strip is row rows.start + y of the whole, so the strip's
+    offset absorbs matrix @ (0, rows.start, 0).
+    """
+    ndimage.affine_transform(
+        data, matrix, offset=offset + matrix[:, 1] * rows.start, output=out[:, rows],
+        order=order, mode="constant", cval=0.0, prefilter=False,
     )

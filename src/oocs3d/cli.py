@@ -3,7 +3,7 @@
 Subcommands: kernel, filter, eval, perturb, preprocess, gradcheck.
 Data lands on stdout (or the output files); logs and warnings go to
 stderr.  Exit codes: 0 success, 2 configuration problem, 3 file or OS
-problem, 4 data-dependent numeric failure.
+problem (out of memory included), 4 data-dependent numeric failure.
 
 numpy must not be imported until thread pinning is done, so every
 handler imports the package's numeric modules lazily.
@@ -208,7 +208,8 @@ def _cmd_gradcheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oocs3d", description=__doc__.splitlines()[0])
     parser.add_argument("--threads", type=int, default=None,
-                        help="pin BLAS/OpenMP thread pools (default: OOCS_THREADS env var, else library default)")
+                        help="pin BLAS/OpenMP thread pools and size the strip pool "
+                             "(default: OOCS_THREADS env var, else library default)")
     parser.add_argument("--seed", type=int, default=0, help="base seed for stochastic subcommands")
     parser.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"), help="stderr log verbosity")
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         log.error("file error: %s", exc)
+        return 3
+    except MemoryError as exc:
+        log.error("out of memory: %s", exc)
         return 3
 
 

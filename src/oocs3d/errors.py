@@ -4,8 +4,9 @@ Each class carries the CLI exit code it ends in, as `exit_code`:
 
     2  configuration problems: OocsError, ConfigError, DimensionError,
        InvalidKernelError, DomainError
-    3  file problems: VolumeIoError, UnsupportedFormatError,
-       CorruptFileError (and any OSError)
+    3  file and OS problems: VolumeIoError, UnsupportedFormatError,
+       CorruptFileError (and any OSError, or a MemoryError: an
+       allocation below tensor.MAX_ELEMENTS the machine cannot serve)
     4  data-dependent numeric failures: DegenerateKernelError,
        NormalizationError, ResampleError, UndefinedDistanceError,
        RangeError

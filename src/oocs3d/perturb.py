@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from ._geom import resample_affine, rigid_index_map
+from ._geom import resample_rows, rigid_index_map
+from ._strips import for_strips
 from .errors import DomainError
 from .rng import make_rng
 from .tensor import Volume, _check_size
@@ -23,7 +24,8 @@ def gaussian_blur(v: Volume, sigma: float) -> Volume:
 
     The 1D kernel extends ceil(4 sigma) taps each side and is rescaled to
     sum exactly to one, so constants pass through within roundoff; edges
-    use reflection.
+    use reflection.  Each pass runs on strips of an axis it does not
+    filter, so every line sums exactly as in one whole-volume pass.
     """
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be positive, got {sigma!r}")
@@ -33,10 +35,18 @@ def gaussian_blur(v: Volume, sigma: float) -> Volume:
     offs = np.arange(-radius, radius + 1, dtype=np.float64)
     kern = np.exp(-(offs ** 2) / (2.0 * sigma * sigma))
     kern /= kern.sum()
-    out = v.data
+
+    def filter_rows(rows):
+        idx = (slice(None),) * along + (rows,)
+        correlate1d(src[idx], kern, axis=axis, output=dst[idx], mode="reflect")
+
+    src = v.data
     for axis in range(3):
-        out = correlate1d(out, kern, axis=axis, mode="reflect")
-    return Volume(out, v.spacing)
+        dst = np.empty(v.shape)
+        along = 0 if axis == 1 else 1
+        for_strips(v.shape[along], filter_rows)
+        src = dst
+    return Volume(src, v.spacing)
 
 
 def gaussian_noise(v: Volume, sigma: float, seed: int) -> Volume:
@@ -73,7 +83,9 @@ def motion_artifact(
     H[k] = (R_s(k)[k] + R_s(-k mod D)[k]) / 2, k = 0..D//2, where R_j is
     the depth rfft of copy j and s(k) the slab of frequency k.  Each
     copy's weighted half-spectrum is added into H as the copy is made,
-    so no full spectrum per copy is kept.
+    so no full spectrum per copy is kept.  All transforms are drawn
+    first; then each strip of H rows makes, transforms and adds every
+    copy's rows, since the depth transform never mixes rows.
     """
     if n_transforms < 1:
         raise DomainError(f"n_transforms must be >= 1, got {n_transforms}")
@@ -87,19 +99,29 @@ def motion_artifact(
             f"motion amplitude bounds must be finite and >= 0, got {max_rot_deg!r} and {max_trans_mm!r}"
         )
     d = v.shape[0]
+    rng = make_rng(seed)
+    maps = []
+    for _ in range(n_transforms):
+        angles = rng.uniform(-max_rot_deg, max_rot_deg, size=3)
+        trans = rng.uniform(-max_trans_mm, max_trans_mm, size=3)
+        maps.append(rigid_index_map(v.shape, v.spacing, angles, trans))
     slab = np.minimum(np.arange(d) // (d // (n_transforms + 1)), n_transforms)
     k = np.arange(d // 2 + 1)
-    rng = make_rng(seed)
-    half = np.zeros((k.size,) + v.shape[1:], dtype=np.complex128)
-    copy = v.data
-    for j in range(n_transforms + 1):
-        if j:
-            angles = rng.uniform(-max_rot_deg, max_rot_deg, size=3)
-            trans = rng.uniform(-max_trans_mm, max_trans_mm, size=3)
-            matrix, offset = rigid_index_map(v.shape, v.spacing, angles, trans)
-            copy = resample_affine(v.data, matrix, offset, order=1)
-        weight = 0.5 * (slab[k] == j) + 0.5 * (slab[-k % d] == j)
-        spec = np.fft.rfft(copy, axis=0)
-        spec *= weight[:, None, None]
-        half += spec
+    weights = [(0.5 * (slab[k] == j) + 0.5 * (slab[-k % d] == j))[:, None, None]
+               for j in range(n_transforms + 1)]
+    copy = np.empty(v.shape)
+    spec = np.empty((k.size,) + v.shape[1:], dtype=np.complex128)
+    half = np.zeros_like(spec)
+
+    def splice_strip(rows):
+        for j, weight in enumerate(weights):
+            moved = v.data
+            if j:
+                resample_rows(v.data, *maps[j - 1], 1, copy, rows)
+                moved = copy
+            np.fft.rfft(moved[:, rows], axis=0, out=spec[:, rows])
+            spec[:, rows] *= weight
+            half[:, rows] += spec[:, rows]
+
+    for_strips(v.shape[1], splice_strip)
     return Volume(np.fft.irfft(half, n=d, axis=0), v.spacing)

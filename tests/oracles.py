@@ -122,6 +122,21 @@ def fftn_motion_splice(copies):
     return np.fft.ifftn(composite).real
 
 
+def separable_blur(data, sigma):
+    """Gaussian blur as three whole-volume correlate1d passes, depth axis first.
+
+    The taps span ceil(4 sigma) each side and are rescaled to sum to
+    one; edges reflect.
+    """
+    radius = int(np.ceil(4.0 * sigma))
+    taps = np.exp(-(np.arange(-radius, radius + 1, dtype=np.float64) ** 2) / (2.0 * sigma * sigma))
+    taps /= taps.sum()
+    out = data
+    for axis in range(3):
+        out = ndimage.correlate1d(out, taps, axis=axis, mode="reflect")
+    return out
+
+
 def map_coordinates_resample(data, spacing, target, order):
     """Voxel-center resampling through one dense coordinate grid.
 

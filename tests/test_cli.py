@@ -1,7 +1,9 @@
 """Command-line surface: flags, exit codes, stream separation, determinism."""
 
+import builtins
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from oocs3d import errors, tensor
+from oocs3d._strips import STRIP_ROWS
 from oocs3d.cli import main
 from oocs3d.kernels import KernelSpec, make_kernel, kernel_from_json
 from oocs3d.perturb import gaussian_blur, gaussian_noise, motion_artifact
@@ -42,6 +45,31 @@ for w in (grads.w1_on, grads.w1_off, grads.w2_on, grads.w2_off):
 print(h.hexdigest())
 """
 
+# Prints the live thread count before and after the commands that must
+# not start the strip pool (a filter, one block forward and backward
+# pass, the gradient-check grid), then after a blur on more than one
+# strip, which must.  argv[1:4] are the filter's input and two outputs.
+_IDLE_COUNTS = """
+import sys, threading
+import numpy as np
+from oocs3d.block import OocsBlockConfig, block_backward, block_forward, init_block_params
+from oocs3d.cli import main
+from oocs3d.gradcheck import run_gradcheck_grid
+from oocs3d.perturb import gaussian_blur
+from oocs3d.tensor import FeatureMap, Volume
+before = threading.active_count()
+assert main(["filter", "--in", sys.argv[1], "--out-on", sys.argv[2], "--out-off", sys.argv[3],
+             "--k", "5"]) == 0
+cfg = OocsBlockConfig(c_in=2, c_out=4)
+params = init_block_params(cfg, 1)
+y, cache = block_forward(FeatureMap(np.ones((2, 6, 40, 6))), params, cfg)
+block_backward(FeatureMap(np.ones(y.shape)), cache, params, cfg)
+run_gradcheck_grid()
+idle = threading.active_count()
+gaussian_blur(Volume(np.ones((40, 40, 4))), 1.0)
+print(before, idle, threading.active_count())
+"""
+
 
 def _run(capsys, *argv):
     rc = main(list(argv))
@@ -69,11 +97,12 @@ _FAILURE_KIND = {2: "configuration error", 3: "file error", 4: "numeric failure"
 class TestExitCodes:
     def test_table_names_every_error_class(self):
         classes = {n for n, c in vars(errors).items() if isinstance(c, type) and issubclass(c, Exception)}
-        assert set(_EXIT_CODES) == classes | {"OSError"}
+        assert set(_EXIT_CODES) == classes | {"OSError", "MemoryError"}
 
     @pytest.mark.parametrize("name,code", sorted(_EXIT_CODES.items()))
     def test_raised_class_ends_in_its_exit_code(self, name, code, capsys, caplog, monkeypatch):
-        exc_type = getattr(errors, name, OSError)
+        exc_type = getattr(errors, name, None) or getattr(builtins, name)
+        kind = "out of memory" if exc_type is MemoryError else _FAILURE_KIND[code]
 
         def handler(args):
             raise exc_type("handler failed")
@@ -81,7 +110,26 @@ class TestExitCodes:
         monkeypatch.setattr("oocs3d.cli._cmd_kernel", handler)
         rc, _, _ = _run(capsys, "kernel", "--k", "3")
         assert rc == code
-        assert f"{_FAILURE_KIND[code]}: handler failed" in caplog.text
+        assert f"{kind}: handler failed" in caplog.text
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_allocation_past_address_space_limit_exits_3(self, tmp_path):
+        # 1001^3 taps pass the size rule but ask for 7.5 GiB; the limit
+        # applies to the child only
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        out = tmp_path / "k.json"
+        r = subprocess.run(
+            [sys.executable, "-m", "oocs3d.cli", "kernel", "--k", "1001", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        )
+        assert r.returncode == 3, r.stderr
+        assert "out of memory" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
 
 
 class TestKernelCommand:
@@ -645,6 +693,48 @@ class TestTopLevel:
             block.append(r.stdout)
         assert filtered[0] == filtered[1]
         assert block[0] == block[1]
+
+    def test_strip_pool_outputs_are_byte_identical_across_thread_counts(self, tmp_path):
+        # blur, motion and the Hausdorff query run on the strip pool; H is
+        # two full strips and a short one, and 5 workers are more than
+        # there are strips or, on most machines, cores
+        rng = np.random.default_rng(293)
+        shape = (20, 2 * STRIP_ROWS + 5, 24)
+        image = tmp_path / "in.mha"
+        write_mha(Volume(rng.normal(size=shape) * 40.0 + 100.0, (1.5, 1.0, 0.7)), str(image))
+        masks = {}
+        for name in ("pred", "ref"):
+            masks[name] = tmp_path / f"{name}.mha"
+            write_mha(BinaryMask(rng.random(shape) < 0.3, (1.5, 1.0, 0.7)), str(masks[name]))
+        runs = []
+        for threads in ("1", "2", "5"):
+            blur, motion, scores = (tmp_path / f"{threads}{name}"
+                                    for name in ("blur.mha", "motion.mha", "eval.csv"))
+            for argv in (
+                ["perturb", "--in", str(image), "--out", str(blur), "--kind", "gaussian_blur",
+                 "--sigma", "1.5"],
+                ["--seed", "3", "perturb", "--in", str(image), "--out", str(motion), "--kind", "motion",
+                 "--n", "3"],
+                ["eval", "--pred", str(masks["pred"]), "--ref", str(masks["ref"]), "--csv-out", str(scores)],
+            ):
+                r = subprocess.run([sys.executable, "-m", "oocs3d.cli", "--threads", threads, *argv],
+                                   capture_output=True, text=True, timeout=120)
+                assert r.returncode == 0, r.stderr
+            runs.append([p.read_bytes() for p in (blur, motion, scores)])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_filter_block_and_gradcheck_start_no_pool_thread(self, tmp_path):
+        src = tmp_path / "in.mha"
+        write_mha(Volume(np.random.default_rng(307).normal(size=(20, 40, 24))), str(src))
+        r = subprocess.run(
+            [sys.executable, "-c", _IDLE_COUNTS, str(src), str(tmp_path / "on.mha"),
+             str(tmp_path / "off.mha")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "OMP_NUM_THREADS": "2"},
+        )
+        assert r.returncode == 0, r.stderr
+        before, idle, after = map(int, r.stdout.split())
+        assert idle == before
+        assert after > before  # the count does see pool threads
 
     def test_threads_flag_does_not_change_results(self, tmp_path):
         # run as real subprocesses so the thread pinning can take effect

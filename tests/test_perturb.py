@@ -1,16 +1,20 @@
 """Robustness perturbations: blur, additive noise, k-space motion splicing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from oocs3d._geom import resample_affine, rigid_index_map
+from oocs3d._geom import rigid_index_map
+from oocs3d._strips import STRIP_ROWS
 from oocs3d.cli import main
 from oocs3d.errors import DomainError
 from oocs3d.perturb import gaussian_blur, gaussian_noise, motion_artifact
 from oocs3d.rng import make_rng
 from oocs3d.tensor import Volume
 
-from oracles import fftn_motion_splice
+from oracles import fftn_motion_splice, separable_blur
 
 # Frozen first-run output statistics of the spliced-spectrum motion model
 # on a 12-wide checkerboard (n=5, rot 10 deg, trans 3 mm, seed 2026).
@@ -30,14 +34,19 @@ def _volume(rng, shape=(8, 8, 8), spacing=(1.0, 1.0, 1.0)):
 
 
 def _motion_copies(v, n, max_rot_deg, max_trans_mm, seed):
-    """The unmoved volume and its n moved copies, drawn in the documented order."""
+    """The unmoved volume and its n moved copies, drawn in the documented order.
+
+    Each copy is one whole-volume scipy resample: trilinear, zeros
+    outside, no prefilter.
+    """
     draws = make_rng(seed)
     copies = [v.data]
     for _ in range(n):
         angles = draws.uniform(-max_rot_deg, max_rot_deg, size=3)
         trans = draws.uniform(-max_trans_mm, max_trans_mm, size=3)
         matrix, offset = rigid_index_map(v.shape, v.spacing, angles, trans)
-        copies.append(resample_affine(v.data, matrix, offset, order=1))
+        copies.append(ndimage.affine_transform(v.data, matrix, offset=offset, order=1,
+                                               mode="constant", cval=0.0, prefilter=False))
     return copies
 
 
@@ -215,3 +224,40 @@ class TestMotion:
         a = motion_artifact(v, n_transforms=2, seed=13)
         b = motion_artifact(v, n_transforms=2, seed=13)
         assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (40, 37, 29)])
+    def test_peak_memory_stays_bounded(self, shape):
+        # about 5.2x the input's bytes at either shape; 5.5x leaves room
+        # for small allocations, not for another volume-sized buffer
+        v = Volume(np.random.default_rng(113).normal(size=shape))
+        tracemalloc.start()
+        try:
+            motion_artifact(v, n_transforms=3, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * v.data.nbytes
+
+
+# H values around the strip size: one short strip, one strip less a row,
+# one strip and a row, and two strips and an uneven third
+_STRIP_HEIGHTS = [1, STRIP_ROWS - 1, STRIP_ROWS + 1, 2 * STRIP_ROWS + 3]
+
+
+class TestStripBoundaries:
+    @pytest.mark.parametrize("h", _STRIP_HEIGHTS)
+    def test_motion_matches_full_fft_splice_oracle(self, h):
+        rng = np.random.default_rng(500 + h)
+        v = Volume(rng.normal(size=(9, h, 6)) * 40.0 + 100.0, (1.5, 1.0, 0.7))
+        out = motion_artifact(v, n_transforms=2, max_rot_deg=12.0, max_trans_mm=2.5, seed=h)
+        want = fftn_motion_splice(_motion_copies(v, 2, 12.0, 2.5, h))
+        assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("h", _STRIP_HEIGHTS)
+    def test_blur_equals_separable_oracle_bytes(self, h):
+        # every pass strips an axis it does not filter, so each line sums
+        # exactly as in one whole-volume pass
+        for d in (h, 7):
+            data = np.random.default_rng(600 + h).normal(size=(d, h, 5))
+            out = gaussian_blur(Volume(data), 1.3).data
+            assert out.tobytes() == separable_blur(data, 1.3).tobytes()
