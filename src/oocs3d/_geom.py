@@ -59,7 +59,10 @@ def resample_rows(
     """Write rows `rows` of the H axis of resample_affine's result into out[:, rows].
 
     Row y of the strip is row rows.start + y of the whole, so the strip's
-    offset absorbs matrix @ (0, rows.start, 0).
+    offset absorbs matrix @ (0, rows.start, 0).  That sum may round
+    differently from resample_affine's, moving a sample coordinate by its
+    last bit; a coordinate exactly on the input's last index can then
+    land just outside it and read 0 instead of the edge value.
     """
     ndimage.affine_transform(
         data, matrix, offset=offset + matrix[:, 1] * rows.start, output=out[:, rows],

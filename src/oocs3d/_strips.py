@@ -47,19 +47,28 @@ def for_strips(n_rows: int, fn) -> None:
 
     The calling thread and up to thread_count() - 1 pool threads take
     strips from one queue until it is empty; with one worker or one
-    strip, no pool thread starts.  An exception a strip raises
-    propagates once every worker has stopped.
+    strip, no pool thread starts.  The first strip that raises empties
+    the queue, so no worker starts another strip; the calling thread's
+    own exception propagates, else a pool thread's, once every worker
+    has stopped.
     """
     starts = range(0, n_rows, STRIP_ROWS)
     strips = iter([slice(y, min(y + STRIP_ROWS, n_rows)) for y in starts])
 
     def drain():
-        for rows in strips:  # next() on a list iterator is atomic under the GIL
-            fn(rows)
+        try:
+            for rows in strips:  # next() on a list iterator is atomic under the GIL
+                fn(rows)
+        except BaseException:
+            for _ in strips:
+                pass
+            raise
 
     helpers = [_pool().submit(drain) for _ in range(min(thread_count(), len(starts)) - 1)]
     try:
         drain()
     finally:
-        for helper in helpers:
-            helper.result()
+        # wait for every helper without letting its error replace one already raised
+        errors = [e for e in (helper.exception() for helper in helpers) if e is not None]
+    if errors:
+        raise errors[0]

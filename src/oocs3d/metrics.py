@@ -10,7 +10,6 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from ._strips import thread_count
 from .errors import DimensionError, UndefinedDistanceError
 from .tensor import BinaryMask
 
@@ -41,14 +40,13 @@ def _directed_mm(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
     border count as edge): from a point outside B, one axis step toward
     it from any interior voxel of B stays in B and is strictly closer
     under any spacing, so the nearest voxel of B is always an edge one
-    and the result is the same float as against all of B.  Each query
-    point is answered on its own, so the worker count cannot change it.
+    and the result is the same float as against all of B.
     """
     outside = np.argwhere(a & ~b)
     if not len(outside):
         return 0.0
     edge = np.argwhere(b & ~ndimage.binary_erosion(b))
-    return float(cKDTree(edge * spacing).query(outside * spacing, workers=thread_count())[0].max())
+    return float(cKDTree(edge * spacing).query(outside * spacing)[0].max())
 
 
 def hausdorff_mm(a: BinaryMask, b: BinaryMask) -> float:

@@ -85,7 +85,11 @@ def motion_artifact(
     copy's weighted half-spectrum is added into H as the copy is made,
     so no full spectrum per copy is kept.  All transforms are drawn
     first; then each strip of H rows makes, transforms and adds every
-    copy's rows, since the depth transform never mixes rows.
+    copy's rows, since the depth transform never mixes rows.  A strip's
+    resample can move a sample coordinate by its last bit (see
+    _geom.resample_rows): a few ulps inside the input, but a sample that
+    lands exactly on the input's border can flip between the edge value
+    and 0, which the depth irfft spreads along that voxel's depth line.
     """
     if n_transforms < 1:
         raise DomainError(f"n_transforms must be >= 1, got {n_transforms}")

@@ -695,9 +695,10 @@ class TestTopLevel:
         assert block[0] == block[1]
 
     def test_strip_pool_outputs_are_byte_identical_across_thread_counts(self, tmp_path):
-        # blur, motion and the Hausdorff query run on the strip pool; H is
-        # two full strips and a short one, and 5 workers are more than
-        # there are strips or, on most machines, cores
+        # blur and motion run on the strip pool, and eval's CSV must not
+        # move with the thread count either; H is two full strips and a
+        # short one, and 5 workers are more than there are strips or, on
+        # most machines, cores
         rng = np.random.default_rng(293)
         shape = (20, 2 * STRIP_ROWS + 5, 24)
         image = tmp_path / "in.mha"

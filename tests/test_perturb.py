@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from oocs3d._geom import rigid_index_map
+from oocs3d._geom import resample_rows, rigid_index_map
 from oocs3d._strips import STRIP_ROWS
 from oocs3d.cli import main
 from oocs3d.errors import DomainError
@@ -261,3 +261,23 @@ class TestStripBoundaries:
             data = np.random.default_rng(600 + h).normal(size=(d, h, 5))
             out = gaussian_blur(Volume(data), 1.3).data
             assert out.tobytes() == separable_blur(data, 1.3).tobytes()
+
+    def test_border_sample_can_flip_between_edge_value_and_zero(self):
+        # Pins a known edge case of strip resampling, not a wanted result:
+        # this map sends voxel (29, 18, 9) to depth 31.0, the input's last
+        # index, in one whole-volume resample, and the strip starting at
+        # row 16 folds 16 * matrix[:, 1] into its offset, which rounds that
+        # coordinate just past the edge, where zeros lie. Every other voxel
+        # agrees to a few ulps.
+        data = np.random.default_rng(700).random((32, 32, 32))
+        matrix = np.array([[0.99, 0.05, 0.01], [-0.05, 0.99, 0.02], [0.0, -0.02, 1.0]])
+        offset = np.array([1.3, -2.1, 0.7])
+        whole = ndimage.affine_transform(data, matrix, offset=offset, order=1,
+                                         mode="constant", cval=0.0, prefilter=False)
+        strips = np.empty_like(data)
+        for rows in (slice(0, 16), slice(16, 32)):
+            resample_rows(data, matrix, offset, 1, strips, rows)
+        assert (matrix @ (29, 18, 9) + offset)[0] == 31.0
+        assert whole[29, 18, 9] > 0.1 and strips[29, 18, 9] == 0.0
+        strips[29, 18, 9] = whole[29, 18, 9]
+        assert np.abs(strips - whole).max() <= 1e-14 * np.abs(whole).max()
