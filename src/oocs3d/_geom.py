@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy import ndimage
 
+from .errors import DomainError
+
 
 def rotation_matrix_zyx(angles_deg) -> np.ndarray:
     """Rotation acting on physical (z, y, x) vectors.
@@ -27,6 +29,15 @@ def rotation_matrix_zyx(angles_deg) -> np.ndarray:
     ry = np.array([[cy, 0.0, -sy], [0.0, 1.0, 0.0], [sy, 0.0, cy]])
     rx = np.array([[cx, sx, 0.0], [-sx, cx, 0.0], [0.0, 0.0, 1.0]])
     return rz @ ry @ rx
+
+
+def _check_bounds(what: str, *bounds) -> None:
+    """Raise DomainError unless each draw bound b is >= 0 with 2b finite.
+
+    A draw spans [-b, b], so its width 2b must be finite too.
+    """
+    if not all(b >= 0.0 and math.isfinite(2.0 * b) for b in bounds):
+        raise DomainError(f"{what} bounds must be finite and >= 0, got {', '.join(map(repr, bounds))}")
 
 
 def rigid_index_map(shape, spacing, rot_deg, trans_mm, scale: float = 1.0):
@@ -46,23 +57,18 @@ def rigid_index_map(shape, spacing, rot_deg, trans_mm, scale: float = 1.0):
     return matrix, offset
 
 
-def resample_affine(data: np.ndarray, matrix: np.ndarray, offset: np.ndarray, order: int) -> np.ndarray:
-    """Affine resample with zeros outside the input footprint."""
-    out = np.empty_like(data)
-    resample_rows(data, matrix, offset, order, out, slice(0, data.shape[1]))
-    return out
-
-
 def resample_rows(
     data: np.ndarray, matrix: np.ndarray, offset: np.ndarray, order: int, out: np.ndarray, rows: slice
 ) -> None:
-    """Write rows `rows` of the H axis of resample_affine's result into out[:, rows].
+    """Write rows `rows` of the H axis of an affine resample into out[:, rows].
 
-    Row y of the strip is row rows.start + y of the whole, so the strip's
-    offset absorbs matrix @ (0, rows.start, 0).  That sum may round
-    differently from resample_affine's, moving a sample coordinate by its
-    last bit; a coordinate exactly on the input's last index can then
-    land just outside it and read 0 instead of the edge value.
+    Samples out(j) = in(matrix @ j + offset), with zeros outside the
+    input footprint.  Row y of the strip is row rows.start + y of the
+    whole, so the strip's offset absorbs matrix @ (0, rows.start, 0).
+    That sum may round differently from the whole volume's map (rows
+    slice(0, H)), moving a sample coordinate by its last bit; a
+    coordinate exactly on the input's last index can then land just
+    outside it and read 0 instead of the edge value.
     """
     ndimage.affine_transform(
         data, matrix, offset=offset + matrix[:, 1] * rows.start, output=out[:, rows],

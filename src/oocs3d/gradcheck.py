@@ -14,6 +14,7 @@ correspondingly tight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,8 +80,9 @@ def block_gradient_check(
     tol: float = 1e-5,
 ) -> GradCheckCase:
     """Check every learnable tensor, every bias, and the input gradient."""
-    if h <= 0.0:
-        raise DomainError(f"step size must be positive, got {h!r}")
+    for name, value in (("step size h", h), ("tolerance tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be finite and positive, got {value!r}")
     if n_dirs < 1:
         raise DomainError(f"n_dirs must be >= 1, got {n_dirs!r}")
     if len(spatial) != 3 or min(spatial) < 1:
@@ -162,7 +164,10 @@ def run_gradcheck_grid(
     spatial: tuple[int, int, int] = (6, 6, 6),
     tol: float = 1e-5,
 ) -> list[GradCheckCase]:
-    """Run the check over the full shape grid; one row per (config, seed)."""
+    """Run the check over the full shape grid; one row per (config, seed).
+
+    A grid with an empty axis has no case and raises DomainError.
+    """
     rows = []
     for k in k_oocs:
         for ci in c_in:
@@ -170,4 +175,6 @@ def run_gradcheck_grid(
                 cfg = OocsBlockConfig(c_in=ci, c_out=co, k_oocs=k)
                 for seed in seeds:
                     rows.append(block_gradient_check(cfg, seed, h=h, n_dirs=n_dirs, spatial=spatial, tol=tol))
+    if not rows:
+        raise DomainError("the gradient-check grid has no case: every axis needs at least one value")
     return rows

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DimensionError, DomainError
-from .tensor import FeatureMap
+from .tensor import FeatureMap, _zero_one
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,16 @@ class PredictionPair:
     def __post_init__(self):
         if self.logits.channels != 1:
             raise DimensionError(f"logits must be single-channel, got C={self.logits.channels}")
-        t = np.array(self.target, dtype=np.float64)
-        if t.shape != self.logits.data.shape[1:]:
+        raw = np.asarray(self.target)
+        if raw.shape != self.logits.data.shape[1:]:
             raise DimensionError(
-                f"target shape {t.shape} does not match logits spatial shape {self.logits.data.shape[1:]}"
+                f"target shape {raw.shape} does not match logits spatial shape {self.logits.data.shape[1:]}"
             )
-        if not np.isin(t, (0.0, 1.0)).all():
+        if not _zero_one(raw):
             raise DomainError("target values must be exactly 0 or 1")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise DomainError(f"epsilon must be positive, got {self.epsilon!r}")
+        t = raw.astype(np.float64)
         t.setflags(write=False)
         object.__setattr__(self, "target", t)
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from ._geom import resample_rows, rigid_index_map
+from ._geom import _check_bounds, resample_rows, rigid_index_map
 from ._strips import for_strips
 from .errors import DomainError
 from .rng import make_rng
@@ -97,11 +97,7 @@ def motion_artifact(
         raise DomainError(
             f"motion needs depth D >= n + 1 for n={n_transforms} transforms, got D={v.shape[0]}"
         )
-    # each draw spans [-b, b], so the width 2b must be finite too
-    if not all(b >= 0.0 and math.isfinite(2.0 * b) for b in (max_rot_deg, max_trans_mm)):
-        raise DomainError(
-            f"motion amplitude bounds must be finite and >= 0, got {max_rot_deg!r} and {max_trans_mm!r}"
-        )
+    _check_bounds("motion amplitude", max_rot_deg, max_trans_mm)
     d = v.shape[0]
     rng = make_rng(seed)
     maps = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._geom import resample_affine, rigid_index_map
+from ._geom import _check_bounds, resample_rows, rigid_index_map
 from .errors import DimensionError, DomainError, NormalizationError, ResampleError
 from .rng import make_rng
 from .tensor import BinaryMask, Volume, _check_size, _check_spacing
@@ -69,10 +69,14 @@ def zscore(v: Volume) -> Volume:
     """Per-volume standardization to zero mean and unit deviation.
 
     A volume whose deviation is zero at float resolution (relative to
-    its mean level) cannot be standardized and raises.
+    its mean level), or whose mean or deviation overflows, cannot be
+    standardized and raises.
     """
-    mean = float(v.data.mean())
-    std = float(v.data.std())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(v.data.mean())
+        std = float(v.data.std())
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise NormalizationError(f"volume mean or deviation overflows float64: mean={mean!r}, std={std!r}")
     if std <= 1e-12 * max(1.0, abs(mean)):
         raise NormalizationError(f"volume has (near-)zero variance: std={std!r}")
     return Volume((v.data - mean) / std, v.spacing)
@@ -116,22 +120,23 @@ def flip_axial(obj):
     return type(obj)(np.flip(obj.data, axis=2), obj.spacing)
 
 
-def _affine(obj, scale, rot_deg, trans_mm):
+def affine(obj, scale=1.0, rot_deg=(0.0, 0.0, 0.0), trans_mm=(0.0, 0.0, 0.0)):
+    """Scaled rigid transform of a Volume or BinaryMask about its center.
+
+    Volumes interpolate trilinearly, masks take the nearest voxel; both
+    read 0 (False) outside the input.  `rot_deg` and `trans_mm` must be
+    three finite values each, `scale` finite and positive.
+    """
     order = _order(obj)
     if not (np.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale must be positive, got {scale!r}")
+    for name, values in (("rot_deg", rot_deg), ("trans_mm", trans_mm)):
+        if np.shape(values) != (3,) or not np.isfinite(values).all():
+            raise DomainError(f"{name} must be three finite values, got {values!r}")
     matrix, offset = rigid_index_map(obj.shape, obj.spacing, rot_deg, trans_mm, scale)
-    return type(obj)(resample_affine(obj.data, matrix, offset, order), obj.spacing)
-
-
-def affine_volume(v: Volume, scale=1.0, rot_deg=(0.0, 0.0, 0.0), trans_mm=(0.0, 0.0, 0.0)) -> Volume:
-    """Scaled rigid transform about the volume center; trilinear, zeros outside."""
-    return _affine(v, scale, rot_deg, trans_mm)
-
-
-def affine_mask(m: BinaryMask, scale=1.0, rot_deg=(0.0, 0.0, 0.0), trans_mm=(0.0, 0.0, 0.0)) -> BinaryMask:
-    """Same geometry as `affine_volume`, nearest-neighbor, False outside."""
-    return _affine(m, scale, rot_deg, trans_mm)
+    out = np.empty_like(obj.data)
+    resample_rows(obj.data, matrix, offset, order, out, slice(0, obj.shape[1]))
+    return type(obj)(out, obj.spacing)
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,7 @@ class AugmentSpec:
     def __post_init__(self):
         if not (0.0 <= self.max_scale_delta < 1.0):
             raise DomainError(f"max_scale_delta must lie in [0, 1), got {self.max_scale_delta!r}")
-        if self.max_rot_deg < 0.0 or self.max_trans_mm < 0.0:
-            raise DomainError("augmentation amplitudes must be >= 0")
+        _check_bounds("augmentation amplitude", self.max_rot_deg, self.max_trans_mm)
 
 
 def augment(v: Volume, m: BinaryMask, spec: AugmentSpec, seed: int) -> tuple[Volume, BinaryMask]:
@@ -167,7 +171,4 @@ def augment(v: Volume, m: BinaryMask, spec: AugmentSpec, seed: int) -> tuple[Vol
     if do_flip:
         v = flip_axial(v)
         m = flip_axial(m)
-    return (
-        affine_volume(v, scale, angles, trans),
-        affine_mask(m, scale, angles, trans),
-    )
+    return affine(v, scale, angles, trans), affine(m, scale, angles, trans)

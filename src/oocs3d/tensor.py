@@ -102,11 +102,20 @@ class Volume:
         return f"Volume(shape={self.shape}, spacing={self.spacing})"
 
 
+def _zero_one(a: np.ndarray) -> bool:
+    """True when every value of `a` is exactly 0 or 1, compared in `a`'s own dtype.
+
+    The one 0/1 rule of the package: masks, the mask file readers and the
+    loss targets all use it.  -0.0 counts as 0; NaN, 0.5 and 1+1j fail.
+    """
+    return bool(((a == 0) | (a == 1)).all())
+
+
 class BinaryMask:
     """A 3D boolean grid with physical voxel spacing.
 
-    Accepts boolean arrays or numeric arrays whose values are exactly
-    0 or 1; anything else (including NaN) is rejected.
+    Accepts boolean arrays or numeric arrays whose values pass
+    `_zero_one`; anything else (including NaN) is rejected.
     """
 
     def __init__(self, data, spacing=(1.0, 1.0, 1.0)):
@@ -115,12 +124,10 @@ class BinaryMask:
             raise DimensionError(f"mask data must be non-empty 3D, got shape {arr.shape}")
         if arr.dtype == bool:
             b = arr.copy()
+        elif _zero_one(arr):
+            b = arr != 0
         else:
-            vals = np.asarray(arr, dtype=np.float64)
-            binary = (vals == 0.0) | (vals == 1.0)
-            if not binary.all():
-                raise DomainError("mask values must be exactly 0 or 1")
-            b = vals != 0.0
+            raise DomainError("mask values must be exactly 0 or 1")
         b = np.ascontiguousarray(b)
         b.setflags(write=False)
         self.data = b

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, CorruptFileError, RangeError, UnsupportedFormatError
-from .tensor import BinaryMask, Volume
+from .tensor import BinaryMask, Volume, _zero_one
 
 # element type -> (little-endian dtype, integer range or None)
 _ELEMENT_TYPES = {
@@ -34,6 +34,9 @@ _ELEMENT_TYPES = {
     "MET_FLOAT": (np.dtype("<f4"), None),
     "MET_DOUBLE": (np.dtype("<f8"), None),
 }
+
+# element type -> the raw sidecar's (kind, dtype)
+_RAW_KINDS = {"MET_UCHAR": ("mask", "uint8"), "MET_DOUBLE": ("image", "float64")}
 
 _TRUE = ("true", "1")
 _FALSE = ("false", "0")
@@ -48,20 +51,27 @@ def _parse_bool(key: str, value: str) -> bool:
     raise CorruptFileError(f"header key {key} has non-boolean value {value!r}")
 
 
-def _convert_payload(values: np.ndarray, element_type: str, what: str) -> np.ndarray:
-    """Round/cast float64 data to the on-disk element type, or raise RangeError."""
+def _encode(obj, element_type: str | None = None) -> tuple[str, np.ndarray]:
+    """(element type, little-endian payload) of a Volume or BinaryMask, as `write_mha` describes."""
+    if isinstance(obj, BinaryMask):
+        if element_type not in (None, "MET_UCHAR"):
+            raise ConfigError(f"masks are always written as MET_UCHAR, got {element_type!r}")
+        return "MET_UCHAR", obj.data.astype("u1")
+    if not isinstance(obj, Volume):
+        raise ConfigError(f"expected a Volume or BinaryMask to write, got {type(obj).__name__}")
+    element_type = "MET_DOUBLE" if element_type is None else element_type
+    if element_type not in _ELEMENT_TYPES:
+        raise UnsupportedFormatError(f"unsupported element type {element_type!r}")
     dtype, int_range = _ELEMENT_TYPES[element_type]
+    values = obj.data
     if int_range is not None:
-        rounded = np.rint(values)
+        values = np.rint(values)
         lo, hi = int_range
-        if rounded.min() < lo or rounded.max() > hi:
-            raise RangeError(f"{what} values fall outside the {element_type} range [{lo}, {hi}]")
-        return rounded.astype(dtype)
-    if element_type == "MET_FLOAT":
-        limit = float(np.finfo(np.float32).max)
-        if np.abs(values).max() > limit:
-            raise RangeError(f"{what} magnitudes exceed the MET_FLOAT range")
-    return values.astype(dtype)
+        if values.min() < lo or values.max() > hi:
+            raise RangeError(f"volume values fall outside the {element_type} range [{lo}, {hi}]")
+    elif element_type == "MET_FLOAT" and np.abs(values).max() > float(np.finfo(np.float32).max):
+        raise RangeError("volume magnitudes exceed the MET_FLOAT range")
+    return element_type, values.astype(dtype)
 
 
 def write_mha(obj, path: str, element_type: str | None = None) -> None:
@@ -71,18 +81,7 @@ def write_mha(obj, path: str, element_type: str | None = None) -> None:
     range-checked (integers round to nearest first).  Masks are always
     MET_UCHAR.
     """
-    if isinstance(obj, BinaryMask):
-        if element_type is not None and element_type != "MET_UCHAR":
-            raise ConfigError(f"masks are always written as MET_UCHAR, got {element_type!r}")
-        element_type = "MET_UCHAR"
-        payload = obj.data.astype("u1")
-    elif isinstance(obj, Volume):
-        element_type = "MET_DOUBLE" if element_type is None else element_type
-        if element_type not in _ELEMENT_TYPES:
-            raise UnsupportedFormatError(f"unsupported element type {element_type!r}")
-        payload = _convert_payload(obj.data, element_type, "volume")
-    else:
-        raise ConfigError(f"write_mha expects Volume or BinaryMask, got {type(obj).__name__}")
+    element_type, payload = _encode(obj, element_type)
     d, h, w = obj.shape
     sz, sy, sx = obj.spacing
     header = (
@@ -203,14 +202,8 @@ def write_raw_json(obj, json_path: str) -> None:
     Images store little-endian float64, masks store uint8 {0, 1}; the
     sidecar records shape (D, H, W), spacing (sz, sy, sx), kind, and dtype.
     """
-    if isinstance(obj, BinaryMask):
-        kind, dtype = "mask", "uint8"
-        payload = obj.data.astype("u1")
-    elif isinstance(obj, Volume):
-        kind, dtype = "image", "float64"
-        payload = obj.data.astype("<f8")
-    else:
-        raise ConfigError(f"write_raw_json expects Volume or BinaryMask, got {type(obj).__name__}")
+    element_type, payload = _encode(obj)
+    kind, dtype = _RAW_KINDS[element_type]
     raw_path = os.path.splitext(json_path)[0] + ".raw"
     doc = {
         "dtype": dtype,
@@ -244,7 +237,7 @@ def read_raw_json(json_path: str):
         raise CorruptFileError(f"JSON sidecar missing or mistyping a field: {exc}") from exc
     if kind not in ("image", "mask"):
         raise UnsupportedFormatError(f"unsupported kind {kind!r}")
-    if (kind, dtype) not in (("image", "float64"), ("mask", "uint8")):
+    if (kind, dtype) not in _RAW_KINDS.values():
         raise UnsupportedFormatError(f"unsupported dtype {dtype!r} for kind {kind!r}")
     # JSON true/false parse as bool, a subclass of int; they are not sizes
     if not (isinstance(shape, list) and len(shape) == 3
@@ -272,7 +265,7 @@ def _load_payload(payload: bytes, dtype: np.dtype, shape, spacing, mask, path: s
         raise CorruptFileError(f"payload holds {len(payload)} bytes, header implies {expected}")
     arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
     if mask is not False:
-        if np.isin(arr, (0, 1)).all():
+        if _zero_one(arr):
             return BinaryMask(arr != 0, spacing)
         if mask:
             raise CorruptFileError("mask payload contains values other than 0 and 1")

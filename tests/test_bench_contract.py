@@ -2,9 +2,9 @@
 
 The traced benchmark run wraps functions by identity and reads block
 fields by name, so a simplification that merges, renames or removes one
-of them breaks the benchmark without failing any library test.  The
-names are read from the benchmark's source as literals; nothing under
-bench/ is imported or edited.
+of them, or stops calling it, breaks the benchmark without failing any
+library test.  The names are read from the benchmark's source as
+literals; nothing under bench/ is imported or edited.
 """
 
 import ast
@@ -12,10 +12,13 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oocs3d import cli, preprocess
 from oocs3d.block import BlockGrads, OocsBlockConfig, OocsBlockParams, init_block_params
-from oocs3d.tensor import ConvWeights
+from oocs3d.tensor import BinaryMask, ConvWeights, Volume
+from oocs3d.volio import write_mha
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -58,3 +61,29 @@ def test_block_fields_read_by_the_training_workload():
     params = init_block_params(OocsBlockConfig(c_in=2, c_out=4), seed=0)
     for name in ("fixed_on", "fixed_off"):
         assert isinstance(getattr(params, name), ConvWeights)
+
+
+def test_preprocess_routes_masks_through_the_traced_twins(tmp_path, monkeypatch):
+    # the tracer times the mask's geometry as preprocess.resample_mask and
+    # preprocess.crop_or_pad_mask; if the CLI sent the mask through
+    # resample or crop_or_pad, those spans would read 0 without an error
+    calls = []
+    for name in ("resample", "resample_mask", "crop_or_pad", "crop_or_pad_mask"):
+        def spy(obj, arg, _orig=getattr(preprocess, name), _name=name):
+            calls.append((_name, type(obj).__name__))
+            return _orig(obj, arg)
+        monkeypatch.setattr(preprocess, name, spy)
+    rng = np.random.default_rng(3)
+    spacing = (1.5, 1.0, 1.0)
+    write_mha(Volume(rng.normal(size=(6, 6, 6)), spacing), str(tmp_path / "image.mha"))
+    write_mha(BinaryMask(rng.random((6, 6, 6)) < 0.5, spacing), str(tmp_path / "mask.mha"))
+    rc = cli.main([
+        "preprocess", "--in", str(tmp_path / "image.mha"), "--out", str(tmp_path / "pre.mha"),
+        "--mask", str(tmp_path / "mask.mha"), "--mask-out", str(tmp_path / "pre_mask.mha"),
+        "--spacing", "1", "1", "1", "--crop", "8", "5", "5",
+    ])
+    assert rc == 0
+    assert calls == [
+        ("resample", "Volume"), ("resample_mask", "BinaryMask"),
+        ("crop_or_pad", "Volume"), ("crop_or_pad_mask", "BinaryMask"),
+    ]

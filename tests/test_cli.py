@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -513,6 +514,19 @@ class TestPreprocessCommand:
                         "--out", str(tmp_path / "o.mha"), "--zscore")
         assert rc == 4
 
+    def test_overflowing_zscore_is_data_error(self, capsys, caplog, tmp_path):
+        # every value is finite, but their sum and squares overflow float64
+        src = tmp_path / "in.mha"
+        data = np.where(np.indices((4, 4, 4)).sum(axis=0) % 2 == 0, 1e308, -1e308)
+        write_mha(Volume(data), str(src))
+        out = tmp_path / "o.mha"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the overflow is reported, not warned
+            rc, stdout, _ = _run(capsys, "preprocess", "--in", str(src), "--out", str(out), "--zscore")
+        assert rc == 4
+        assert "numeric failure" in caplog.text and "overflows" in caplog.text
+        assert stdout == "" and not out.exists()
+
 
 class TestGradcheckCommand:
     def test_passing_run(self, capsys):
@@ -533,6 +547,19 @@ class TestGradcheckCommand:
         )
         assert rc == 4
         assert any(ln.endswith(",FAIL") for ln in out.strip().split("\n")[1:])
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--tol", "nan", "tolerance tol"), ("--tol", "-1", "tolerance tol"),
+        ("--h", "nan", "step size h"), ("--h", "inf", "step size h"),
+        ("--seeds", "0", "no case"), ("--seeds", "-3", "no case"),
+    ])
+    def test_meaningless_request_is_usage_error(self, capsys, caplog, flag, value, reason):
+        # these used to fail every check (exit 4), blame the conv weights,
+        # or pass zero checks with exit 0
+        rc, out, _ = _run(capsys, "gradcheck", "--n-dirs", "1", "--spatial", "5", "5", "5", flag, value)
+        assert rc == 2
+        assert out == ""
+        assert "configuration error" in caplog.text and reason in caplog.text
 
 
 class TestSizeLimit:

@@ -32,6 +32,13 @@ class TestSingleCase:
         with pytest.raises(DomainError):
             block_gradient_check(OocsBlockConfig(c_in=1, c_out=4), seed=0, h=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"h": float("nan")}, {"h": float("inf")}, {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0},
+    ], ids=["h-nan", "h-inf", "tol-nan", "tol-negative", "tol-zero"])
+    def test_non_finite_or_non_positive_step_and_tolerance_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            block_gradient_check(OocsBlockConfig(c_in=1, c_out=4), seed=0, **kwargs)
+
     def test_impossible_tolerance_reports_failure(self):
         cfg = OocsBlockConfig(c_in=1, c_out=4)
         case = block_gradient_check(cfg, seed=0, spatial=(5, 5, 5), n_dirs=1, tol=1e-18)
@@ -48,3 +55,8 @@ class TestGrid:
         assert all(r.passed for r in rows)
         keys = {(r.k_oocs, r.c_in, r.c_out, r.seed) for r in rows}
         assert len(keys) == 4
+
+    @pytest.mark.parametrize("axis", ["k_oocs", "c_in", "c_out", "seeds"])
+    def test_empty_grid_rejected(self, axis):
+        with pytest.raises(DomainError, match="no case"):
+            run_gradcheck_grid(**{axis: ()})

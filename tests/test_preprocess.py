@@ -6,8 +6,7 @@ import pytest
 from oocs3d.errors import DimensionError, DomainError, NormalizationError, ResampleError
 from oocs3d.preprocess import (
     AugmentSpec,
-    affine_mask,
-    affine_volume,
+    affine,
     augment,
     crop_or_pad,
     crop_or_pad_mask,
@@ -192,7 +191,7 @@ class TestAffine:
     def test_identity_transform_exact(self):
         rng = np.random.default_rng(173)
         v = Volume(rng.normal(size=(5, 5, 5)), spacing=(0.9, 1.0, 1.1))
-        out = affine_volume(v)
+        out = affine(v)
         assert np.abs(out.data - v.data).max() < 1e-12
 
     def test_quarter_turn_swaps_box_extents(self):
@@ -201,7 +200,7 @@ class TestAffine:
         data = np.zeros((9, 9, 9), dtype=bool)
         data[3:6, 4:5, 2:7] = True  # extents (3, 1, 5)
         m = BinaryMask(data, spacing=(1.0, 1.0, 1.0))
-        out = affine_mask(m, rot_deg=(90.0, 0.0, 0.0))
+        out = affine(m, rot_deg=(90.0, 0.0, 0.0))
         assert out.count == m.count
         occ = np.argwhere(out.data)
         spans = occ.max(axis=0) - occ.min(axis=0) + 1
@@ -214,12 +213,12 @@ class TestAffine:
         m = BinaryMask(data)
         out = m
         for _ in range(4):
-            out = affine_mask(out, rot_deg=(90.0, 0.0, 0.0))
+            out = affine(out, rot_deg=(90.0, 0.0, 0.0))
         np.testing.assert_array_equal(out.data, m.data)
 
     def test_integer_translation_is_exact_shift(self):
         v = Volume(np.arange(27.0).reshape(3, 3, 3))
-        out = affine_volume(v, trans_mm=(0.0, 0.0, 1.0))
+        out = affine(v, trans_mm=(0.0, 0.0, 1.0))
         # content moves one voxel along the last axis; the vacated face
         # fills with zeros
         np.testing.assert_allclose(out.data[:, :, 1:], v.data[:, :, :-1], atol=1e-12)
@@ -233,13 +232,37 @@ class TestAffine:
         v = Volume(dist)
         m = BinaryMask(dist <= 2.5)
         rot = (90.0, 0.0, 0.0)
-        out_v = affine_volume(v, rot_deg=rot)
-        out_m = affine_mask(m, rot_deg=rot)
+        out_v = affine(v, rot_deg=rot)
+        out_m = affine(m, rot_deg=rot)
         np.testing.assert_array_equal(out_v.data <= 2.5, out_m.data)
 
     def test_bad_scale_rejected(self):
         with pytest.raises(DomainError):
-            affine_volume(Volume(np.zeros((2, 2, 2))), scale=0.0)
+            affine(Volume(np.zeros((2, 2, 2))), scale=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rot_deg": (float("nan"), 0.0, 0.0)},
+        {"trans_mm": (0.0, float("inf"), 0.0)},
+        {"rot_deg": (0.0, 0.0)},
+        {"trans_mm": (0.0, 0.0, 0.0, 0.0)},
+    ], ids=["rot-nan", "trans-inf", "rot-two-values", "trans-four-values"])
+    @pytest.mark.parametrize("obj", [Volume(np.ones((3, 3, 3))), BinaryMask(np.ones((3, 3, 3)))],
+                             ids=["volume", "mask"])
+    def test_non_finite_or_misshapen_geometry_rejected(self, obj, kwargs):
+        # a NaN angle or an infinite shift used to return an all-zero volume
+        with pytest.raises(DomainError):
+            affine(obj, **kwargs)
+
+    def test_type_picks_order_and_container(self):
+        # a 0.75-voxel shift: the volume interpolates, the mask takes the
+        # nearest voxel, so its box moves by one whole voxel
+        data = np.zeros((5, 5, 5), dtype=bool)
+        data[:, :, 1:3] = True
+        v = affine(Volume(data.astype(float)), trans_mm=(0.0, 0.0, 0.75))
+        m = affine(BinaryMask(data), trans_mm=(0.0, 0.0, 0.75))
+        assert type(v) is Volume and type(m) is BinaryMask
+        np.testing.assert_allclose(v.data[2, 2], [0.0, 0.25, 1.0, 0.75, 0.0], atol=1e-12)
+        np.testing.assert_array_equal(m.data, np.roll(data, 1, axis=2))
 
 
 class TestAugment:
@@ -282,3 +305,12 @@ class TestAugment:
             AugmentSpec(max_scale_delta=-0.1)
         with pytest.raises(DomainError):
             AugmentSpec(max_rot_deg=-5.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_trans_mm": float("nan")}, {"max_rot_deg": float("inf")},
+        {"max_rot_deg": 1e308}, {"max_trans_mm": -float("inf")}, {"max_scale_delta": float("nan")},
+    ], ids=["trans-nan", "rot-inf", "rot-width-overflows", "trans-minus-inf", "scale-nan"])
+    def test_spec_refuses_non_finite_bounds(self, kwargs):
+        # each draw spans [-b, b]; numpy's uniform overflows when 2b does
+        with pytest.raises(DomainError):
+            AugmentSpec(**kwargs)

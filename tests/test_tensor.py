@@ -1,10 +1,13 @@
 """Container validation and the convolution engine against a naive oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
 from oocs3d import tensor
-from oocs3d.errors import DimensionError, DomainError, InvalidKernelError
+from oocs3d.errors import CorruptFileError, DimensionError, DomainError, InvalidKernelError
+from oocs3d.losses import PredictionPair
 from oocs3d.tensor import (
     PAD_SAME,
     PAD_VALID,
@@ -17,6 +20,7 @@ from oocs3d.tensor import (
     conv3d_output_shape,
     pad_zero,
 )
+from oocs3d.volio import read_mha, read_raw_json
 
 from oracles import central_difference, im2col, max_rel_err, naive_conv3d
 
@@ -61,6 +65,64 @@ class TestBinaryMask:
             BinaryMask(np.array([[[0.0, 2.0]]]))
         with pytest.raises(DomainError):
             BinaryMask(np.array([[[0.5]]]))
+
+
+# input values, the same values as the bytes of a uint8 file payload (None
+# where no byte holds them), and whether every value is exactly 0 or 1
+_ZERO_ONE_TABLE = {
+    "bool": (np.array([False, True]), b"\x00\x01", True),
+    "uint8-0-1": (np.array([0, 1], np.uint8), b"\x00\x01", True),
+    "uint8-with-2": (np.array([0, 1, 2], np.uint8), b"\x00\x01\x02", False),
+    "float-0-1": (np.array([0.0, 1.0]), b"\x00\x01", True),
+    "minus-zero": (np.array([-0.0, 1.0]), b"\x00\x01", True),
+    "half": (np.array([0.0, 0.5]), None, False),
+    "nan": (np.array([1.0, np.nan]), None, False),
+    "minus-one": (np.array([0, -1], np.int8), b"\x00\xff", False),  # a signed byte's bits
+    "complex": (np.array([0.0, 1 + 1j]), None, False),
+}
+
+
+class TestZeroOneRule:
+    """Masks, the loss target and both mask file readers share one 0/1 rule."""
+
+    @staticmethod
+    def _accepts(make) -> bool:
+        try:
+            make()
+        except DomainError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("values, payload, binary", _ZERO_ONE_TABLE.values(), ids=_ZERO_ONE_TABLE.keys())
+    def test_every_consumer_agrees(self, values, payload, binary, tmp_path):
+        shape = (1, 1, values.size)
+        arr = values.reshape(shape)
+        logits = FeatureMap(np.zeros((1,) + shape))
+        verdicts = {
+            "BinaryMask": self._accepts(lambda: BinaryMask(arr)),
+            "PredictionPair target": self._accepts(lambda: PredictionPair(logits, arr)),
+        }
+        if payload is not None:
+            (tmp_path / "m.raw").write_bytes(payload)
+            (tmp_path / "m.json").write_text(json.dumps({
+                "dtype": "uint8", "kind": "mask", "raw_file": "m.raw", "shape": list(shape),
+                "spacing": [1.0, 1.0, 1.0],
+            }))
+            try:
+                verdicts["kind: mask raw+JSON"] = isinstance(read_raw_json(str(tmp_path / "m.json")), BinaryMask)
+            except CorruptFileError as exc:
+                assert exc.exit_code == 3
+                verdicts["kind: mask raw+JSON"] = False
+            header = (
+                "ObjectType = Image\nNDims = 3\nBinaryData = True\nBinaryDataByteOrderMSB = False\n"
+                f"DimSize = {values.size} 1 1\nElementSpacing = 1 1 1\nElementType = MET_UCHAR\n"
+                "ElementDataFile = LOCAL\n"
+            )
+            (tmp_path / "m.mha").write_bytes(header.encode("ascii") + payload)
+            loaded = read_mha(str(tmp_path / "m.mha"))
+            assert isinstance(loaded, BinaryMask if binary else Volume)
+            verdicts["MET_UCHAR .mha"] = isinstance(loaded, BinaryMask)
+        assert verdicts == dict.fromkeys(verdicts, binary)
 
 
 class TestFeatureMap:
