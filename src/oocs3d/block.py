@@ -35,6 +35,9 @@ from .kernels import KernelSpec, make_kernel
 from .rng import make_rng
 from .tensor import ConvWeights, FeatureMap, conv3d_backward, conv3d_forward
 
+# the four learnable convs, in the field order of OocsBlockParams and BlockGrads
+LEARNABLE = ("w1_on", "w1_off", "w2_on", "w2_off")
+
 
 @dataclass(frozen=True)
 class OocsBlockConfig:
@@ -215,20 +218,9 @@ def block_backward(
 def learnable_param_count(params: OocsBlockParams) -> int:
     """Number of trainable scalars actually stored in `params`."""
     total = 0
-    for w in (params.w1_on, params.w1_off, params.w2_on, params.w2_off):
+    for name in LEARNABLE:
+        w = getattr(params, name)
         total += w.data.size
         if w.bias is not None:
             total += w.bias.size
     return total
-
-
-def plain_block_param_count(cfg: OocsBlockConfig) -> int:
-    """Parameter count of the full-width two-conv block (c_in -> c_out -> c_out).
-
-    A comparison figure, not the parity target: the block holds
-    (c_out**2 / 2) * k_learn**3 fewer learnables than this.  Its parity
-    target is the count of the same two pathways without the fixed
-    injections, which `learnable_param_count` reads from a built block.
-    """
-    k3 = cfg.k_learn ** 3
-    return cfg.c_out * cfg.c_in * k3 + cfg.c_out + cfg.c_out * cfg.c_out * k3 + cfg.c_out

@@ -9,7 +9,7 @@ Each class carries the CLI exit code it ends in, as `exit_code`:
        allocation below tensor.MAX_ELEMENTS the machine cannot serve)
     4  data-dependent numeric failures: DegenerateKernelError,
        NormalizationError, ResampleError, UndefinedDistanceError,
-       RangeError
+       NonFiniteError, RangeError
 """
 
 
@@ -55,6 +55,12 @@ class ResampleError(DomainError):
 
 class UndefinedDistanceError(DomainError):
     """Hausdorff distance is undefined when either mask is empty."""
+
+    exit_code = 4
+
+
+class NonFiniteError(DomainError):
+    """A container got NaN or infinity, as float64 overflow on finite data leaves."""
 
     exit_code = 4
 

@@ -66,14 +66,13 @@ class KernelDerivation:
 
 
 class BalancedKernel:
-    """A sampled, exactly balanced kernel plus its provenance-free recipe."""
+    """A sampled, exactly balanced kernel plus its provenance-free recipe.
+
+    `make_kernel` is its one builder; the constructor checks nothing.
+    """
 
     def __init__(self, spec: KernelSpec, derivation: KernelDerivation, weights, polarity: str):
-        if polarity not in ("on", "off"):
-            raise ConfigError(f"polarity must be 'on' or 'off', got {polarity!r}")
         arr = np.array(weights, dtype=np.float64, order="C")
-        if arr.shape != (spec.k,) * spec.dims:
-            raise DomainError(f"weights shape {arr.shape} does not match spec {(spec.k,) * spec.dims}")
         arr.setflags(write=False)
         self.spec = spec
         self.derivation = derivation
@@ -100,6 +99,17 @@ def _geometry(spec: KernelSpec) -> tuple[float, float, float]:
     return r_surround, r_center, compute_sigma(r_center, spec.gamma)
 
 
+def _dog_terms(spec: KernelSpec, sigma: float) -> tuple[float, float, float]:
+    """The DoG's center amplitude gamma^-d and its denominators 2 gamma^2 sigma^2 and 2 sigma^2."""
+    g = spec.gamma
+    try:
+        inv_center_norm = g ** -spec.dims
+    except OverflowError as exc:
+        # like any tiny gamma, it would leave no negative entry to balance
+        raise DegenerateKernelError(f"gamma={g!r} puts the center peak beyond the float range") from exc
+    return inv_center_norm, 2.0 * g * g * sigma * sigma, 2.0 * sigma * sigma
+
+
 def _dog_profile(spec: KernelSpec, sigma: float):
     """DoG value as a function of squared radius, unit amplitudes.
 
@@ -107,14 +117,7 @@ def _dog_profile(spec: KernelSpec, sigma: float):
     sign change collapse to exact zeros: float noise there would
     otherwise leak sign-indeterminate values into the balancing step.
     """
-    g = spec.gamma
-    try:
-        inv_center_norm = g ** -spec.dims
-    except OverflowError as exc:
-        # like any tiny gamma, it would leave no negative entry to balance
-        raise DegenerateKernelError(f"gamma={g!r} puts the center peak beyond the float range") from exc
-    tc = 2.0 * g * g * sigma * sigma
-    ts = 2.0 * sigma * sigma
+    inv_center_norm, tc, ts = _dog_terms(spec, sigma)
     snap = 1e-12 * (inv_center_norm - 1.0)
 
     def value(rho2: float) -> float:
@@ -170,6 +173,8 @@ def balance(raw, c: float) -> np.ndarray:
 
 def make_kernel(spec: KernelSpec, polarity: str = "on") -> BalancedKernel:
     """Build the balanced kernel for `spec`; 'off' is the exact negation of 'on'."""
+    if polarity not in ("on", "off"):
+        raise ConfigError(f"polarity must be 'on' or 'off', got {polarity!r}")
     raw = sample_dog(spec)
     r_surround, r_center, sigma = _geometry(spec)
     sum_pos, sum_neg = _sign_sums(raw)
@@ -204,15 +209,12 @@ def continuous_balance_check(spec: KernelSpec, n_grid: int) -> BalanceResidual:
     if int(n_grid) != n_grid or n_grid < 64:
         raise DomainError(f"n_grid must be an integer >= 64, got {n_grid!r}")
     n_grid = int(n_grid)
-    g = spec.gamma
     d = spec.dims
     sigma = _geometry(spec)[2]
+    inv_center_norm, tc, ts = _dog_terms(spec, sigma)
     radius = sigma * math.log2(n_grid)
     h = 2.0 * radius / n_grid
     x = -radius + (np.arange(n_grid) + 0.5) * h
-    inv_center_norm = g ** -d
-    tc = 2.0 * g * g * sigma * sigma
-    ts = 2.0 * sigma * sigma
     r2max = radius * radius
     plane = x[:, None] ** 2 + x[None, :] ** 2
     total = 0.0
@@ -252,14 +254,28 @@ def kernel_to_json(kern: BalancedKernel) -> str:
 
 
 def kernel_from_json(text: str) -> BalancedKernel:
-    """Parse `kernel_to_json` output; malformed JSON or fields raise ConfigError."""
+    """Parse `kernel_to_json` output back into the kernel its spec and polarity build.
+
+    Malformed JSON or fields raise ConfigError, and so do weights or a
+    derivation that differ in any value from the rebuilt kernel's: a
+    document cannot load as a kernel `make_kernel` would not build.
+    """
     try:
         doc = json.loads(text)
         spec = KernelSpec(**doc["spec"])
         derivation = KernelDerivation(**doc["derivation"])
-        return BalancedKernel(spec, derivation, doc["weights"], doc["polarity"])
+        weights = np.array(doc["weights"], dtype=np.float64)
+        polarity = doc["polarity"]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed kernel JSON: {exc}") from exc
+    # the shape is checked first, so a small document cannot make a large kernel build
+    shape = (spec.k,) * spec.dims
+    if weights.shape != shape:
+        raise ConfigError(f"kernel JSON weights have shape {weights.shape}, its spec needs {shape}")
+    kern = make_kernel(spec, polarity)
+    if derivation != kern.derivation or not np.array_equal(weights, kern.weights):
+        raise ConfigError("kernel JSON weights or derivation differ from the kernel its spec builds")
+    return kern
 
 
 def kernel_to_csv(kern: BalancedKernel) -> str:

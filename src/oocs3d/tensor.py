@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InvalidKernelError
+from .errors import DimensionError, DomainError, InvalidKernelError, NonFiniteError
 
 PAD_SAME = "same_zero"
 PAD_VALID = "valid"
@@ -77,7 +77,7 @@ def _frozen(data, ndim: int, what: str, check_finite: bool = True) -> np.ndarray
     if arr.ndim != ndim or min(arr.shape) < 1:
         raise DimensionError(f"{what} must be non-empty {ndim}D, got shape {arr.shape}")
     if check_finite and not np.isfinite(arr).all():
-        raise DomainError(f"{what} contains non-finite values")
+        raise NonFiniteError(f"{what} contains non-finite values")
     arr.setflags(write=False)
     return arr
 

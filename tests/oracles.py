@@ -103,6 +103,16 @@ def two_pathway_param_count(c_in, c_out, k):
     return 2 * total
 
 
+def plain_block_param_count(c_in, c_out, k):
+    """Learnables of the full-width two-conv block: conv c_in -> c_out, then c_out -> c_out.
+
+    A comparison figure, not the parity target: with its second stage on
+    half-width inputs the two-pathway block holds (c_out**2 / 2) * k**3
+    fewer.
+    """
+    return c_out * c_in * k ** 3 + c_out + c_out * c_out * k ** 3 + c_out
+
+
 def fftn_motion_splice(copies):
     """Full 3-D FFT slab splice of motion-corrupted copies.
 

@@ -17,6 +17,7 @@ import pytest
 
 from oocs3d import cli, preprocess
 from oocs3d.block import BlockGrads, OocsBlockConfig, OocsBlockParams, init_block_params
+from oocs3d.gradcheck import GradCheckCase
 from oocs3d.tensor import BinaryMask, ConvWeights, Volume
 from oocs3d.volio import write_mha
 
@@ -30,6 +31,15 @@ def _literal(file_name, name):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError(f"bench/{file_name} assigns no literal {name}")
+
+
+def _row_attributes(file_name, *path):
+    """Attributes the function at `path` (class and method names) in bench/`file_name` reads off `r`."""
+    node = ast.parse((BENCH / file_name).read_text(encoding="utf-8"))
+    for name in path:
+        node = next(n for n in node.body if getattr(n, "name", None) == name)
+    return {n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "r"}
 
 
 FUNCTIONS = _literal("tracing.py", "FUNCTIONS")
@@ -87,3 +97,15 @@ def test_preprocess_routes_masks_through_the_traced_twins(tmp_path, monkeypatch)
         ("resample", "Volume"), ("resample_mask", "BinaryMask"),
         ("crop_or_pad", "Volume"), ("crop_or_pad_mask", "BinaryMask"),
     ]
+
+
+@pytest.mark.parametrize("file_name, path", [
+    ("workloads.py", ("GradcheckGrid", "counters")),
+    ("checks.py", ("gradcheck_rows",)),
+], ids=["GradcheckGrid.counters", "checks.gradcheck_rows"])
+def test_gradcheck_case_fields_read_by_the_grid_workload(file_name, path):
+    # counters sums directions and redraws into gradcheck.useful_ratio and
+    # gradcheck.redraws; the row check names the failed case
+    read = _row_attributes(file_name, *path)
+    assert read
+    assert read <= {f.name for f in dataclasses.fields(GradCheckCase)}

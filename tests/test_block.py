@@ -13,14 +13,19 @@ from oocs3d.block import (
     init_block_params,
     learnable_param_count,
     lift_kernel,
-    plain_block_param_count,
 )
 from oocs3d.errors import ConfigError, DimensionError
 from oocs3d.kernels import KernelSpec, make_kernel
 from oocs3d.rng import make_rng
 from oocs3d.tensor import ConvWeights, FeatureMap, conv3d_backward, conv3d_forward
 
-from oracles import max_rel_err, naive_block_forward, naive_conv3d, two_pathway_param_count
+from oracles import (
+    max_rel_err,
+    naive_block_forward,
+    naive_conv3d,
+    plain_block_param_count,
+    two_pathway_param_count,
+)
 
 
 def _zeroed_learnables(params):
@@ -337,11 +342,12 @@ class TestParameterLedger:
 
     def test_deficit_against_plain_two_conv_block(self):
         # the second-stage convs see half-width inputs, so the block holds
-        # (c_out^2 / 2) * k^3 fewer weights than the plain stack
+        # (c_out^2 / 2) * k^3 fewer weights than the plain stack; counted
+        # on a built block
         for c_in, c_out, k in [(1, 4, 3), (2, 8, 3), (2, 4, 5)]:
             cfg = OocsBlockConfig(c_in=c_in, c_out=c_out, k_learn=k)
-            n = two_pathway_param_count(c_in, c_out, k)
-            plain = plain_block_param_count(cfg)
+            n = learnable_param_count(init_block_params(cfg, 0))
+            plain = plain_block_param_count(c_in, c_out, k)
             assert plain - n == (c_out ** 2 // 2) * k ** 3
             assert n < plain
 

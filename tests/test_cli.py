@@ -528,6 +528,27 @@ class TestPreprocessCommand:
         assert stdout == "" and not out.exists()
 
 
+class TestOverflowOfFiniteData:
+    # every value is finite, but float64 overflows in the arithmetic; the
+    # result container's finiteness check reports it as a data failure
+    @pytest.mark.parametrize("argv, message", [
+        (["filter", "--k", "3", "--out-on", "on.mha", "--out-off", "off.mha"], "feature map (C, D, H, W)"),
+        (["perturb", "--kind", "gaussian_blur", "--out", "out.mha"], "volume data"),
+        (["perturb", "--kind", "gaussian_noise", "--sigma", "1e308", "--out", "out.mha"], "volume data"),
+        (["perturb", "--kind", "motion", "--n", "2", "--out", "out.mha"], "volume data"),
+    ], ids=["filter", "gaussian_blur", "gaussian_noise", "motion"])
+    def test_overflow_is_numeric_failure(self, argv, message, capsys, caplog, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = np.where(np.indices((8, 8, 8)).sum(axis=0) % 2 == 0, 1e308, -1e308)
+        write_mha(Volume(data), "in.mha")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc, stdout, _ = _run(capsys, *argv, "--in", "in.mha")
+        assert rc == 4
+        assert f"numeric failure: {message} contains non-finite values" in caplog.text
+        assert stdout == "" and [p.name for p in tmp_path.iterdir()] == ["in.mha"]
+
+
 class TestGradcheckCommand:
     def test_passing_run(self, capsys):
         rc, out, _ = _run(

@@ -1,10 +1,17 @@
 """Packaged finite-difference harness for the block gradients."""
 
+import dataclasses
+
 import pytest
 
-from oocs3d.block import OocsBlockConfig
+from oocs3d import gradcheck
+from oocs3d.block import LEARNABLE, OocsBlockConfig
 from oocs3d.errors import DomainError
 from oocs3d.gradcheck import block_gradient_check, run_gradcheck_grid
+from oocs3d.tensor import ConvWeights, FeatureMap
+
+# the nine probe targets: data and bias of each learnable conv, then the input
+TARGETS = [f"{name}.{field}" for name in LEARNABLE for field in ("data", "bias")] + ["input"]
 
 
 class TestSingleCase:
@@ -43,6 +50,33 @@ class TestSingleCase:
         cfg = OocsBlockConfig(c_in=1, c_out=4)
         case = block_gradient_check(cfg, seed=0, spatial=(5, 5, 5), n_dirs=1, tol=1e-18)
         assert not case.passed
+
+
+class TestProbeTargets:
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_each_target_is_compared(self, target, monkeypatch):
+        # a 1% error planted in one analytic gradient must fail the case
+        # at about 1% relative error
+        real = gradcheck.block_backward
+
+        def one_gradient_off(*args):
+            gx, grads = real(*args)
+            if target == "input":
+                return FeatureMap(gx.data * 1.01), grads
+            name, field = target.split(".")
+            w = getattr(grads, name)
+            w = ConvWeights(w.data * 1.01, w.bias) if field == "data" else ConvWeights(w.data, w.bias * 1.01)
+            return gx, dataclasses.replace(grads, **{name: w})
+
+        monkeypatch.setattr(gradcheck, "block_backward", one_gradient_off)
+        case = block_gradient_check(OocsBlockConfig(c_in=2, c_out=4), seed=0, spatial=(5, 5, 5), n_dirs=2)
+        assert not case.passed
+        assert 0.005 < case.max_rel_err < 0.02
+
+    @pytest.mark.parametrize("n_dirs", [1, 3])
+    def test_every_target_gets_n_dirs_directions(self, n_dirs):
+        case = block_gradient_check(OocsBlockConfig(c_in=1, c_out=4), seed=0, spatial=(5, 5, 5), n_dirs=n_dirs)
+        assert case.directions == len(TARGETS) * n_dirs == 9 * n_dirs
 
 
 class TestGrid:

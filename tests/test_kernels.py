@@ -247,9 +247,19 @@ class TestContinuousBalance:
         assert r128.residual < r64.residual
         assert r128.residual < 1e-3 * r128.l1_mass
 
+    def test_tiny_gamma_is_degenerate(self):
+        # gamma**-3 overflows float64 here, as in the sampler
+        with pytest.raises(DegenerateKernelError):
+            continuous_balance_check(KernelSpec(k=3, gamma=1e-200), 64)
+
     def test_coarse_grid_rejected(self):
         with pytest.raises(DomainError):
             continuous_balance_check(KernelSpec(k=3), 32)
+
+
+def _center_up_one_ulp(doc):
+    row = doc["weights"][2][2]
+    row[2] = float(np.nextafter(row[2], np.inf))
 
 
 class TestSerialization:
@@ -282,6 +292,27 @@ class TestSerialization:
         doc = json.loads(kernel_to_json(make_kernel(KernelSpec(k=3))))
         doc["weights"] = [[["a"]]]
         with pytest.raises(ConfigError):
+            kernel_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(weights=np.zeros((5, 5, 5)).tolist()),
+        _center_up_one_ulp,
+        lambda doc: doc["derivation"].update(sigma=123.0),
+        lambda doc: doc.update(polarity="on"),
+        lambda doc: doc.update(weights=np.array(doc["weights"])[1:-1, 1:-1, 1:-1].tolist()),
+    ], ids=["zero-weights", "center-up-one-ulp", "sigma-changed", "polarity-swapped", "shape-changed"])
+    def test_document_the_spec_does_not_build_is_rejected(self, edit):
+        # a kernel loads only as make_kernel builds it from its spec and polarity
+        doc = json.loads(kernel_to_json(make_kernel(KernelSpec(k=5, gamma=0.75, c=1.0), polarity="off")))
+        edit(doc)
+        with pytest.raises(ConfigError):
+            kernel_from_json(json.dumps(doc))
+
+    def test_document_for_a_large_kernel_is_refused_before_building_it(self, monkeypatch):
+        doc = json.loads(kernel_to_json(make_kernel(KernelSpec(k=3))))
+        doc["spec"]["k"] = 1001
+        monkeypatch.setattr("oocs3d.kernels.sample_dog", None)  # any build attempt would raise TypeError
+        with pytest.raises(ConfigError, match="shape"):
             kernel_from_json(json.dumps(doc))
 
     def test_csv_shape_and_center_row(self):
