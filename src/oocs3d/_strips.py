@@ -13,6 +13,7 @@ arenas and stays with the process.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -64,7 +65,9 @@ def for_strips(n_rows: int, fn) -> None:
                 pass
             raise
 
-    helpers = [_pool().submit(drain) for _ in range(min(thread_count(), len(starts)) - 1)]
+    # each helper runs in a copy of the caller's context, so it sees the caller's numpy error state
+    helpers = [_pool().submit(contextvars.copy_context().run, drain)
+               for _ in range(min(thread_count(), len(starts)) - 1)]
     try:
         drain()
     finally:

@@ -283,7 +283,12 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         _apply_threads(args.threads)
-        return args.func(args)
+        import numpy as np
+
+        # a non-finite result is refused by the containers (exit 4), so
+        # numpy's floating-point warnings would only repeat it, with source paths
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except OocsError as exc:
         log.error("%s: %s", _FAILURE_KIND[exc.exit_code], exc)
         return exc.exit_code

@@ -3,6 +3,11 @@
 Each perturbation maps a Volume to a new Volume with the same shape and
 spacing.  All randomness is seeded; the same parameters and input always
 produce the same output.
+
+Motion moves copies of the volume rigidly.  Physical coordinates are
+(z, y, x) in millimeters, index coordinates are (D, H, W) voxels;
+rotations and translations act in physical space, so anisotropic
+spacing is handled by conjugating with the spacing diagonal.
 """
 
 from __future__ import annotations
@@ -10,13 +15,63 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.ndimage import correlate1d
+from scipy.ndimage import affine_transform, correlate1d
 
-from ._geom import _check_bounds, resample_rows, rigid_index_map
 from ._strips import for_strips
 from .errors import DomainError
 from .rng import make_rng
 from .tensor import Volume, _check_size
+
+
+def rotation_matrix_zyx(angles_deg) -> np.ndarray:
+    """Rotation acting on physical (z, y, x) vectors.
+
+    `angles_deg` are rotations about the z, y, and x axes, composed as
+    Rz @ Ry @ Rx.
+    """
+    az, ay, ax = (math.radians(float(a)) for a in angles_deg)
+    cz, sz = math.cos(az), math.sin(az)
+    cy, sy = math.cos(ay), math.sin(ay)
+    cx, sx = math.cos(ax), math.sin(ax)
+    rz = np.array([[1.0, 0.0, 0.0], [0.0, cz, sz], [0.0, -sz, cz]])
+    ry = np.array([[cy, 0.0, -sy], [0.0, 1.0, 0.0], [sy, 0.0, cy]])
+    rx = np.array([[cx, sx, 0.0], [-sx, cx, 0.0], [0.0, 0.0, 1.0]])
+    return rz @ ry @ rx
+
+
+def rigid_index_map(shape, spacing, rot_deg, trans_mm):
+    """Index-space (matrix, offset) for sampling out(j) = in(matrix @ j + offset).
+
+    The content transform moves a physical point p to c + R (p - c) + t,
+    about the volume center c; the returned map is its inverse expressed
+    on index coordinates.
+    """
+    sp = np.asarray(spacing, dtype=np.float64)
+    inv = rotation_matrix_zyx(rot_deg).T
+    center = sp * (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
+    trans = np.asarray(trans_mm, dtype=np.float64)
+    matrix = inv * sp[None, :] / sp[:, None]
+    offset = (center - inv @ (center + trans)) / sp
+    return matrix, offset
+
+
+def resample_rows(
+    data: np.ndarray, matrix: np.ndarray, offset: np.ndarray, out: np.ndarray, rows: slice
+) -> None:
+    """Write rows `rows` of the H axis of a trilinear affine resample into out[:, rows].
+
+    Samples out(j) = in(matrix @ j + offset), with zeros outside the
+    input footprint.  Row y of the strip is row rows.start + y of the
+    whole, so the strip's offset absorbs matrix @ (0, rows.start, 0).
+    That sum may round differently from the whole volume's map (rows
+    slice(0, H)), moving a sample coordinate by its last bit; a
+    coordinate exactly on the input's last index can then land just
+    outside it and read 0 instead of the edge value.
+    """
+    affine_transform(
+        data, matrix, offset=offset + matrix[:, 1] * rows.start, output=out[:, rows],
+        order=1, mode="constant", cval=0.0, prefilter=False,
+    )
 
 
 def gaussian_blur(v: Volume, sigma: float) -> Volume:
@@ -87,7 +142,7 @@ def motion_artifact(
     first; then each strip of H rows makes, transforms and adds every
     copy's rows, since the depth transform never mixes rows.  A strip's
     resample can move a sample coordinate by its last bit (see
-    _geom.resample_rows): a few ulps inside the input, but a sample that
+    resample_rows): a few ulps inside the input, but a sample that
     lands exactly on the input's border can flip between the edge value
     and 0, which the depth irfft spreads along that voxel's depth line.
     """
@@ -97,7 +152,11 @@ def motion_artifact(
         raise DomainError(
             f"motion needs depth D >= n + 1 for n={n_transforms} transforms, got D={v.shape[0]}"
         )
-    _check_bounds("motion amplitude", max_rot_deg, max_trans_mm)
+    # a draw spans [-b, b], so its width 2b must be finite too
+    if not all(b >= 0.0 and math.isfinite(2.0 * b) for b in (max_rot_deg, max_trans_mm)):
+        raise DomainError(
+            f"motion amplitude bounds must be finite and >= 0, got {max_rot_deg!r}, {max_trans_mm!r}"
+        )
     d = v.shape[0]
     rng = make_rng(seed)
     maps = []
@@ -117,7 +176,7 @@ def motion_artifact(
         for j, weight in enumerate(weights):
             moved = v.data
             if j:
-                resample_rows(v.data, *maps[j - 1], 1, copy, rows)
+                resample_rows(v.data, *maps[j - 1], copy, rows)
                 moved = copy
             np.fft.rfft(moved[:, rows], axis=0, out=spec[:, rows])
             spec[:, rows] *= weight

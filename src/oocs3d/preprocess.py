@@ -1,4 +1,4 @@
-"""Volume preprocessing: resampling, normalization, shaping, augmentation.
+"""Volume preprocessing: resampling, normalization, shaping.
 
 Resampling maps voxel centers: output index j on an axis with input
 spacing s_in and target spacing s_t samples the input at
@@ -11,13 +11,10 @@ edge.  Each axis is its own 1-D pass: images interpolate linearly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._geom import _check_bounds, resample_rows, rigid_index_map
 from .errors import DimensionError, DomainError, NormalizationError, ResampleError
-from .rng import make_rng
 from .tensor import BinaryMask, Volume, _check_size, _check_spacing
 
 
@@ -113,62 +110,3 @@ def crop_or_pad_mask(m: BinaryMask, target_shape) -> BinaryMask:
     """Same window as `crop_or_pad`, padding with False."""
     return _crop_or_pad(m, target_shape)
 
-
-def flip_axial(obj):
-    """Mirror a Volume or BinaryMask along the W axis."""
-    _order(obj)
-    return type(obj)(np.flip(obj.data, axis=2), obj.spacing)
-
-
-def affine(obj, scale=1.0, rot_deg=(0.0, 0.0, 0.0), trans_mm=(0.0, 0.0, 0.0)):
-    """Scaled rigid transform of a Volume or BinaryMask about its center.
-
-    Volumes interpolate trilinearly, masks take the nearest voxel; both
-    read 0 (False) outside the input.  `rot_deg` and `trans_mm` must be
-    three finite values each, `scale` finite and positive.
-    """
-    order = _order(obj)
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    for name, values in (("rot_deg", rot_deg), ("trans_mm", trans_mm)):
-        if np.shape(values) != (3,) or not np.isfinite(values).all():
-            raise DomainError(f"{name} must be three finite values, got {values!r}")
-    matrix, offset = rigid_index_map(obj.shape, obj.spacing, rot_deg, trans_mm, scale)
-    out = np.empty_like(obj.data)
-    resample_rows(obj.data, matrix, offset, order, out, slice(0, obj.shape[1]))
-    return type(obj)(out, obj.spacing)
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Random augmentation amplitudes; zeros disable a component."""
-
-    flip: bool = True
-    max_scale_delta: float = 0.1
-    max_rot_deg: float = 10.0
-    max_trans_mm: float = 5.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.max_scale_delta < 1.0):
-            raise DomainError(f"max_scale_delta must lie in [0, 1), got {self.max_scale_delta!r}")
-        _check_bounds("augmentation amplitude", self.max_rot_deg, self.max_trans_mm)
-
-
-def augment(v: Volume, m: BinaryMask, spec: AugmentSpec, seed: int) -> tuple[Volume, BinaryMask]:
-    """Apply one random flip + scaled rigid transform to an aligned pair.
-
-    Image and mask see exactly the same geometry; draws come from a
-    Philox stream in a fixed order (flip coin, scale, angles,
-    translation), so a seed fully determines the augmentation.
-    """
-    if v.shape != m.shape or v.spacing != m.spacing:
-        raise DimensionError("image and mask must share shape and spacing")
-    rng = make_rng(seed)
-    do_flip = spec.flip and rng.random() < 0.5
-    scale = 1.0 + rng.uniform(-spec.max_scale_delta, spec.max_scale_delta)
-    angles = rng.uniform(-spec.max_rot_deg, spec.max_rot_deg, size=3)
-    trans = rng.uniform(-spec.max_trans_mm, spec.max_trans_mm, size=3)
-    if do_flip:
-        v = flip_axial(v)
-        m = flip_axial(m)
-    return affine(v, scale, angles, trans), affine(m, scale, angles, trans)

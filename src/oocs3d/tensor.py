@@ -206,22 +206,6 @@ class ConvWeights:
         return f"ConvWeights(c_out={self.c_out}, c_in={self.c_in}, k={self.k}, bias={self.bias is not None})"
 
 
-def pad_zero(v, margin):
-    """Zero-pad a Volume or FeatureMap by `margin` voxels per spatial axis.
-
-    `margin` is three non-negative integers (D, H, W); each axis grows by
-    twice its margin.  Channel axes are never padded.
-    """
-    m = tuple(int(x) for x in margin)
-    if len(m) != 3 or any(x < 0 for x in m):
-        raise DomainError(f"margin must be three non-negative integers, got {margin!r}")
-    if isinstance(v, Volume):
-        return Volume(_pad(v.data, m), v.spacing)
-    if isinstance(v, FeatureMap):
-        return FeatureMap(_pad(v.data, m))
-    raise DimensionError(f"pad_zero expects Volume or FeatureMap, got {type(v).__name__}")
-
-
 def conv3d_output_shape(input_shape, k: int, padding: str) -> tuple[int, int, int]:
     """Spatial output shape of the convolution for the given padding."""
     if padding not in PADDINGS:

@@ -7,12 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from oocs3d import errors, tensor
+from oocs3d import _strips, errors, perturb, tensor
 from oocs3d._strips import STRIP_ROWS
 from oocs3d.cli import main
 from oocs3d.kernels import KernelSpec, make_kernel, kernel_from_json
@@ -530,7 +532,20 @@ class TestPreprocessCommand:
 
 class TestOverflowOfFiniteData:
     # every value is finite, but float64 overflows in the arithmetic; the
-    # result container's finiteness check reports it as a data failure
+    # result container's finiteness check reports it as a data failure, and
+    # numpy's floating-point warnings stay silent on every thread
+    @staticmethod
+    def _assert_numeric_failure(capsys, caplog, tmp_path, monkeypatch, argv, message, shape):
+        monkeypatch.chdir(tmp_path)
+        data = np.where(np.indices(shape).sum(axis=0) % 2 == 0, 1e308, -1e308)
+        write_mha(Volume(data), "in.mha")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, stdout, _ = _run(capsys, *argv, "--in", "in.mha")
+        assert rc == 4
+        assert f"numeric failure: {message} contains non-finite values" in caplog.text
+        assert stdout == "" and [p.name for p in tmp_path.iterdir()] == ["in.mha"]
+
     @pytest.mark.parametrize("argv, message", [
         (["filter", "--k", "3", "--out-on", "on.mha", "--out-off", "off.mha"], "feature map (C, D, H, W)"),
         (["perturb", "--kind", "gaussian_blur", "--out", "out.mha"], "volume data"),
@@ -538,15 +553,31 @@ class TestOverflowOfFiniteData:
         (["perturb", "--kind", "motion", "--n", "2", "--out", "out.mha"], "volume data"),
     ], ids=["filter", "gaussian_blur", "gaussian_noise", "motion"])
     def test_overflow_is_numeric_failure(self, argv, message, capsys, caplog, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        data = np.where(np.indices((8, 8, 8)).sum(axis=0) % 2 == 0, 1e308, -1e308)
-        write_mha(Volume(data), "in.mha")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc, stdout, _ = _run(capsys, *argv, "--in", "in.mha")
-        assert rc == 4
-        assert f"numeric failure: {message} contains non-finite values" in caplog.text
-        assert stdout == "" and [p.name for p in tmp_path.iterdir()] == ["in.mha"]
+        self._assert_numeric_failure(capsys, caplog, tmp_path, monkeypatch, argv, message, (8, 8, 8))
+
+    def test_overflow_on_a_pool_thread_is_numeric_failure(self, capsys, caplog, tmp_path, monkeypatch):
+        # 40 rows make three strips; each thread's first strip waits until
+        # the other holds one too, so the pool thread overflows as well
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(_strips, "thread_count", lambda: 2)
+        monkeypatch.setattr(_strips, "_pool", lambda: pool)
+        barrier, seen = threading.Barrier(2), threading.local()
+
+        def for_strips_meeting(n_rows, fn):
+            def meet_then_fn(rows):
+                if not getattr(seen, "met", False):
+                    seen.met = True
+                    barrier.wait(timeout=10)
+                fn(rows)
+            _strips.for_strips(n_rows, meet_then_fn)
+
+        monkeypatch.setattr(perturb, "for_strips", for_strips_meeting)
+        try:
+            self._assert_numeric_failure(capsys, caplog, tmp_path, monkeypatch,
+                                         ["perturb", "--kind", "motion", "--n", "2", "--out", "out.mha"],
+                                         "volume data", (40, 40, 40))
+        finally:
+            pool.shutdown()
 
 
 class TestGradcheckCommand:

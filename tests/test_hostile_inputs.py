@@ -4,12 +4,13 @@ The readers may return a volume or a mask, or raise an `OocsError` or
 `OSError` subclass, which the CLI maps to exit codes 2-4; anything else
 would end `oocs3d` in a traceback (exit 1).  Each subcommand that reads a
 volume is run on mutated files with fuzzed numeric arguments and must end
-in 0, 2, 3 or 4.  Arguments that set the size of an array the command
-builds (`--k`, `--crop`, `--spacing` and the blur `--sigma`) are drawn
-from small valid values, invalid ones and sizes past the `MAX_ELEMENTS`
-limit only: a valid size below the limit makes the command allocate
-what it asks for.  Examples are derandomized and bounded so each run
-checks the same cases in about a second.
+in 0, 2, 3 or 4 without leaking a numpy floating-point `RuntimeWarning`.
+Arguments that set the size of an array the command builds (`--k`,
+`--crop`, `--spacing` and the blur `--sigma`) are drawn from small valid
+values, invalid ones and sizes past the `MAX_ELEMENTS` limit only: a
+valid size below the limit makes the command allocate what it asks for.
+Examples are derandomized and bounded so each run checks the same cases
+in about a second.
 """
 
 import json
@@ -153,6 +154,17 @@ class TestSidecarReader:
             _read_or_reject(read_raw_json, path)
 
 
+def _exit_code(argv):
+    """main(argv)'s exit code; a numpy floating-point warning that leaks from it raises instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            return exc.code
+
+
 class TestEvalCommand:
     @settings(FUZZ, max_examples=60)
     @given(which=st.integers(0, 3), edits=_mutations, cut=st.integers(0, 400), swap=st.booleans())
@@ -167,10 +179,8 @@ class TestEvalCommand:
             pair = [hostile, paths[2]]
             if swap:
                 pair.reverse()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rc = main(["eval", "--pred", pair[0], "--ref", pair[1],
-                           "--csv-out", os.path.join(d, "out.csv")])
+            rc = _exit_code(["eval", "--pred", pair[0], "--ref", pair[1],
+                             "--csv-out", os.path.join(d, "out.csv")])
             assert rc in (0, 2, 3, 4)
 
 
@@ -185,15 +195,6 @@ def _number(valid):
 _invalid_size = st.sampled_from(["nan", "inf", "-inf", "0.0", "-1.0", "-1e+300"])
 # which valid file, and its mutation; None leaves it intact so the arguments get checked
 _files = st.tuples(st.integers(0, 3), st.none() | st.tuples(_mutations, st.integers(0, 400)))
-
-
-def _exit_code(argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return main(argv)
-        except SystemExit as exc:  # argparse refused the arguments
-            return exc.code
 
 
 def _hostile_input(d, files):

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from oocs3d._geom import resample_rows, rigid_index_map
 from oocs3d._strips import STRIP_ROWS
 from oocs3d.cli import main
 from oocs3d.errors import DomainError
-from oocs3d.perturb import gaussian_blur, gaussian_noise, motion_artifact
+from oocs3d.perturb import gaussian_blur, gaussian_noise, motion_artifact, resample_rows, rigid_index_map
 from oocs3d.rng import make_rng
 from oocs3d.tensor import Volume
 
@@ -244,6 +243,46 @@ class TestMotion:
 _STRIP_HEIGHTS = [1, STRIP_ROWS - 1, STRIP_ROWS + 1, 2 * STRIP_ROWS + 3]
 
 
+class TestRigidIndexMap:
+    """The sense of the motion geometry, checked against numpy shifts and turns."""
+
+    @staticmethod
+    def _moved(data, spacing, rot_deg=(0.0, 0.0, 0.0), trans_mm=(0.0, 0.0, 0.0)):
+        matrix, offset = rigid_index_map(data.shape, spacing, rot_deg, trans_mm)
+        out = np.empty_like(data)
+        resample_rows(data, matrix, offset, out, slice(0, data.shape[1]))
+        return out
+
+    @staticmethod
+    def _box():
+        data = np.zeros((7, 9, 9))
+        data[2:5, 2:4, 3:8] = 1.0
+        return data
+
+    def test_identity_on_anisotropic_spacing(self):
+        data = np.random.default_rng(173).normal(size=(5, 6, 7))
+        out = self._moved(data, (0.9, 1.0, 1.1))
+        assert np.abs(out - data).max() <= 1e-12
+
+    def test_one_mm_along_w_shifts_one_voxel(self):
+        data = np.random.default_rng(179).normal(size=(4, 5, 6))
+        out = self._moved(data, (1.5, 0.8, 1.0), trans_mm=(0.0, 0.0, 1.0))
+        # the content moves one voxel up the W axis; the vacated face reads 0
+        assert np.abs(out[:, :, 1:] - data[:, :, :-1]).max() <= 1e-12
+        assert np.abs(out[:, :, 0]).max() <= 1e-12
+
+    def test_quarter_turn_about_first_axis_is_rot90(self):
+        data = self._box()
+        out = self._moved(data, (1.5, 1.0, 1.0), rot_deg=(90.0, 0.0, 0.0))
+        assert np.abs(out - np.rot90(data, -1, axes=(1, 2))).max() <= 1e-12
+
+    def test_four_quarter_turns_restore_the_input(self):
+        data = out = self._box()
+        for _ in range(4):
+            out = self._moved(out, (1.5, 1.0, 1.0), rot_deg=(90.0, 0.0, 0.0))
+        assert np.abs(out - data).max() <= 1e-12
+
+
 class TestStripBoundaries:
     @pytest.mark.parametrize("h", _STRIP_HEIGHTS)
     def test_motion_matches_full_fft_splice_oracle(self, h):
@@ -276,7 +315,7 @@ class TestStripBoundaries:
                                          mode="constant", cval=0.0, prefilter=False)
         strips = np.empty_like(data)
         for rows in (slice(0, 16), slice(16, 32)):
-            resample_rows(data, matrix, offset, 1, strips, rows)
+            resample_rows(data, matrix, offset, strips, rows)
         assert (matrix @ (29, 18, 9) + offset)[0] == 31.0
         assert whole[29, 18, 9] > 0.1 and strips[29, 18, 9] == 0.0
         strips[29, 18, 9] = whole[29, 18, 9]

@@ -1,16 +1,12 @@
-"""Resampling, normalization, crop/pad, flips, affine moves, augmentation."""
+"""Resampling, normalization, crop/pad."""
 
 import numpy as np
 import pytest
 
-from oocs3d.errors import DimensionError, DomainError, NormalizationError, ResampleError
+from oocs3d.errors import DomainError, NormalizationError, ResampleError
 from oocs3d.preprocess import (
-    AugmentSpec,
-    affine,
-    augment,
     crop_or_pad,
     crop_or_pad_mask,
-    flip_axial,
     resample,
     resample_mask,
     zscore,
@@ -171,146 +167,3 @@ class TestCropOrPad:
         with pytest.raises(DomainError):
             crop_or_pad(v, (0, 2, 2))
 
-
-class TestFlip:
-    def test_involution_and_axis(self):
-        rng = np.random.default_rng(167)
-        v = Volume(rng.normal(size=(3, 4, 5)))
-        once = flip_axial(v)
-        np.testing.assert_array_equal(once.data, v.data[:, :, ::-1])
-        np.testing.assert_array_equal(flip_axial(once).data, v.data)
-
-    def test_mask_flip(self):
-        m = np.zeros((2, 2, 3), dtype=bool)
-        m[0, 0, 0] = True
-        out = flip_axial(BinaryMask(m))
-        assert out.data[0, 0, 2] and out.count == 1
-
-
-class TestAffine:
-    def test_identity_transform_exact(self):
-        rng = np.random.default_rng(173)
-        v = Volume(rng.normal(size=(5, 5, 5)), spacing=(0.9, 1.0, 1.1))
-        out = affine(v)
-        assert np.abs(out.data - v.data).max() < 1e-12
-
-    def test_quarter_turn_swaps_box_extents(self):
-        # an axis-aligned box rotated 90 deg about the first axis swaps
-        # its in-plane extents and keeps its voxel count
-        data = np.zeros((9, 9, 9), dtype=bool)
-        data[3:6, 4:5, 2:7] = True  # extents (3, 1, 5)
-        m = BinaryMask(data, spacing=(1.0, 1.0, 1.0))
-        out = affine(m, rot_deg=(90.0, 0.0, 0.0))
-        assert out.count == m.count
-        occ = np.argwhere(out.data)
-        spans = occ.max(axis=0) - occ.min(axis=0) + 1
-        assert tuple(spans) == (3, 5, 1)
-
-    def test_four_quarter_turns_restore_mask(self):
-        rng = np.random.default_rng(179)
-        data = np.zeros((7, 7, 7), dtype=bool)
-        data[2:5, 1:6, 3:5] = rng.random(size=(3, 5, 2)) < 0.7
-        m = BinaryMask(data)
-        out = m
-        for _ in range(4):
-            out = affine(out, rot_deg=(90.0, 0.0, 0.0))
-        np.testing.assert_array_equal(out.data, m.data)
-
-    def test_integer_translation_is_exact_shift(self):
-        v = Volume(np.arange(27.0).reshape(3, 3, 3))
-        out = affine(v, trans_mm=(0.0, 0.0, 1.0))
-        # content moves one voxel along the last axis; the vacated face
-        # fills with zeros
-        np.testing.assert_allclose(out.data[:, :, 1:], v.data[:, :, :-1], atol=1e-12)
-        assert np.abs(out.data[:, :, 0]).max() < 1e-12
-
-    def test_level_set_consistency_on_grid_preserving_move(self):
-        # threshold-then-transform equals transform-then-threshold when
-        # the move maps grid points to grid points
-        z, y, x = np.indices((9, 9, 9), dtype=np.float64)
-        dist = np.sqrt((z - 4.0) ** 2 + (y - 4.0) ** 2 + (x - 4.0) ** 2)
-        v = Volume(dist)
-        m = BinaryMask(dist <= 2.5)
-        rot = (90.0, 0.0, 0.0)
-        out_v = affine(v, rot_deg=rot)
-        out_m = affine(m, rot_deg=rot)
-        np.testing.assert_array_equal(out_v.data <= 2.5, out_m.data)
-
-    def test_bad_scale_rejected(self):
-        with pytest.raises(DomainError):
-            affine(Volume(np.zeros((2, 2, 2))), scale=0.0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rot_deg": (float("nan"), 0.0, 0.0)},
-        {"trans_mm": (0.0, float("inf"), 0.0)},
-        {"rot_deg": (0.0, 0.0)},
-        {"trans_mm": (0.0, 0.0, 0.0, 0.0)},
-    ], ids=["rot-nan", "trans-inf", "rot-two-values", "trans-four-values"])
-    @pytest.mark.parametrize("obj", [Volume(np.ones((3, 3, 3))), BinaryMask(np.ones((3, 3, 3)))],
-                             ids=["volume", "mask"])
-    def test_non_finite_or_misshapen_geometry_rejected(self, obj, kwargs):
-        # a NaN angle or an infinite shift used to return an all-zero volume
-        with pytest.raises(DomainError):
-            affine(obj, **kwargs)
-
-    def test_type_picks_order_and_container(self):
-        # a 0.75-voxel shift: the volume interpolates, the mask takes the
-        # nearest voxel, so its box moves by one whole voxel
-        data = np.zeros((5, 5, 5), dtype=bool)
-        data[:, :, 1:3] = True
-        v = affine(Volume(data.astype(float)), trans_mm=(0.0, 0.0, 0.75))
-        m = affine(BinaryMask(data), trans_mm=(0.0, 0.0, 0.75))
-        assert type(v) is Volume and type(m) is BinaryMask
-        np.testing.assert_allclose(v.data[2, 2], [0.0, 0.25, 1.0, 0.75, 0.0], atol=1e-12)
-        np.testing.assert_array_equal(m.data, np.roll(data, 1, axis=2))
-
-
-class TestAugment:
-    def _inputs(self, seed=181):
-        rng = np.random.default_rng(seed)
-        v = Volume(rng.normal(size=(8, 8, 8)))
-        m = BinaryMask(rng.random(size=(8, 8, 8)) < 0.3)
-        return v, m
-
-    def test_determinism(self):
-        v, m = self._inputs()
-        spec = AugmentSpec()
-        v1, m1 = augment(v, m, spec, seed=29)
-        v2, m2 = augment(v, m, spec, seed=29)
-        assert v1.data.tobytes() == v2.data.tobytes()
-        assert m1.data.tobytes() == m2.data.tobytes()
-
-    def test_zero_amplitude_spec_is_identity(self):
-        v, m = self._inputs()
-        spec = AugmentSpec(flip=False, max_scale_delta=0.0, max_rot_deg=0.0, max_trans_mm=0.0)
-        va, ma = augment(v, m, spec, seed=31)
-        np.testing.assert_allclose(va.data, v.data, atol=1e-12)
-        np.testing.assert_array_equal(ma.data, m.data)
-
-    def test_shapes_and_spacing_preserved(self):
-        v, m = self._inputs()
-        va, ma = augment(v, m, AugmentSpec(), seed=37)
-        assert va.shape == v.shape and ma.shape == m.shape
-        assert va.spacing == v.spacing
-
-    def test_mismatched_inputs_rejected(self):
-        rng = np.random.default_rng(191)
-        v = Volume(rng.normal(size=(6, 6, 6)))
-        m = BinaryMask(np.zeros((5, 6, 6), dtype=bool))
-        with pytest.raises(DimensionError):
-            augment(v, m, AugmentSpec(), seed=0)
-
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            AugmentSpec(max_scale_delta=-0.1)
-        with pytest.raises(DomainError):
-            AugmentSpec(max_rot_deg=-5.0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"max_trans_mm": float("nan")}, {"max_rot_deg": float("inf")},
-        {"max_rot_deg": 1e308}, {"max_trans_mm": -float("inf")}, {"max_scale_delta": float("nan")},
-    ], ids=["trans-nan", "rot-inf", "rot-width-overflows", "trans-minus-inf", "scale-nan"])
-    def test_spec_refuses_non_finite_bounds(self, kwargs):
-        # each draw spans [-b, b]; numpy's uniform overflows when 2b does
-        with pytest.raises(DomainError):
-            AugmentSpec(**kwargs)

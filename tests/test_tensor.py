@@ -18,7 +18,6 @@ from oocs3d.tensor import (
     conv3d_backward,
     conv3d_forward,
     conv3d_output_shape,
-    pad_zero,
 )
 from oocs3d.volio import read_mha, read_raw_json
 
@@ -177,31 +176,6 @@ class TestContainerValidation:
             bad.flat[-1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[case]
         with pytest.raises(error):
             build(bad)
-
-
-class TestPadZero:
-    def test_margin_zero_is_identity(self):
-        fm = FeatureMap(np.random.default_rng(0).normal(size=(2, 3, 3, 3)))
-        out = pad_zero(fm, (0, 0, 0))
-        np.testing.assert_array_equal(out.data, fm.data)
-
-    def test_single_voxel_margin_one(self):
-        fm = FeatureMap(np.full((1, 1, 1, 1), 5.0))
-        out = pad_zero(fm, (1, 1, 1))
-        assert out.data.shape == (1, 3, 3, 3)
-        assert out.data[0, 1, 1, 1] == 5.0
-        assert out.data.sum() == 5.0
-
-    def test_anisotropic_margin_and_sum(self):
-        rng = np.random.default_rng(3)
-        fm = FeatureMap(rng.normal(size=(3, 4, 5, 2)))
-        out = pad_zero(fm, (2, 0, 1))
-        assert out.data.shape == (3, 8, 5, 4)
-        assert out.data.sum() == pytest.approx(fm.data.sum(), rel=1e-12)
-
-    def test_negative_margin_rejected(self):
-        with pytest.raises(DomainError):
-            pad_zero(FeatureMap(np.zeros((1, 2, 2, 2))), (1, -1, 1))
 
 
 class TestOutputShape:
