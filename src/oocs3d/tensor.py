@@ -12,17 +12,22 @@ Conventions, fixed once for the whole package:
 * "same_zero" padding zero-pads so spatial dims are preserved, "valid"
   keeps only fully covered positions;
 * zero padding copies the input into the interior of a zeroed buffer,
-  and the im2col columns are gathered through a read-only strided window
-  view of that buffer (or of the input itself when nothing is padded);
-* convolutions are im2col matrix products done by BLAS, one per output
-  tile (see `_slabs`).  Results are byte-identical from run to run at a
-  fixed BLAS thread count.  The summation order inside a product is
-  BLAS's choice, which may depend on the product's shape, so another
-  thread count, BLAS build or tile size may change the last bits (the
-  tests check that 1 and 2 threads agree byte for byte).  The weight
-  gradient sums one product per tile, so the tiling sets its order of
-  partial sums too.  Negating the weights negates every partial
-  sum, so an Off response is bit-exactly minus its On response.
+  and the lowered slices are gathered through a read-only strided view
+  of that buffer (or of the input itself when nothing is padded);
+* convolutions are matrix products done by BLAS on slice-wise lowered
+  input (memory-efficient convolution, Cho & Brand 2017; see
+  `_windows`): each input slice's (c, ky, kx) taps are copied once, and
+  one output slice's columns are k consecutive lowered slices, with the
+  taps in (kz, c, ky, kx) order.  There is one product per output slice
+  of each window.  Results are byte-identical from run to run at a fixed
+  BLAS thread count.  The summation order inside a product is BLAS's
+  choice, which may depend on the product's shape, so another thread
+  count, BLAS build or strip size may change the last bits (the tests
+  check that 1 and 2 threads agree byte for byte).  The weight gradient
+  adds one partial sum per output slice, in window order and slice
+  order within a window, so the split sets its order of partial sums
+  too.  Negating the weights negates every partial sum, so an Off
+  response is bit-exactly minus its On response.
 
 Containers freeze their buffers after validation; instances are safe to
 share across threads, and every operation returns fresh arrays.
@@ -40,12 +45,9 @@ PAD_SAME = "same_zero"
 PAD_VALID = "valid"
 PADDINGS = (PAD_SAME, PAD_VALID)
 
-# Upper bound on the im2col column buffer, so a tile's columns stay in cache.
-# A depth slice that needs more is split into row tiles of at least
-# _TILE_MIN_COLS output voxels, which may exceed the budget: narrower
-# tiles make the matrix products too thin to pay for their calls.
+# Upper bound on the lowered-slice buffer of the conv engine (see
+# `_windows`), so a window's columns stay in cache.
 _COL_BYTES = 1 << 20
-_TILE_MIN_COLS = 512
 
 
 # Most elements (voxels or kernel taps) an argument may ask one array to
@@ -234,49 +236,70 @@ def _pad(a: np.ndarray, m: tuple[int, int, int]) -> np.ndarray:
     return out
 
 
-def _slabs(xp: np.ndarray, k: int, out_shape):
-    """Yield (output index, im2col columns) over the output, one tile at a time.
+def _windows(xp: np.ndarray, k: int, out_shape):
+    """Yield (output slices, output rows, columns) over the output, one window at a time.
 
-    Each column matrix has one row per (input channel, kz, ky, kx) tap and
-    one column per output voxel of the tile.  The taps are read through a
-    read-only (c, kz, ky, kx, d, h, w) view built on the contiguous `xp`
-    from its own strides: a window offset and an output position step
-    through the same array axis.  A tile is a slab of whole depth slices,
-    as deep as `_COL_BYTES` allows; when one slice needs more, it is a run
-    of whole output rows of one slice, at least `_TILE_MIN_COLS` voxels
-    where the slice has that many.  Either way the index selects a
-    C-contiguous block of each channel of a (C, D, H, W) output, so
-    `out[index].reshape(C, -1)` is a view.  All tiles share one buffer, so
-    a yielded matrix is only valid until the next one is drawn.
+    Slice-wise lowering (Cho & Brand, MEC, 2017): the output is cut into
+    strips of whole output rows, and each strip slides down depth.  The
+    (c, ky, kx, rows, W) taps of each padded input slice are copied once
+    into one buffer, read through a read-only (z, c, ky, kx, y, x) view
+    built on the contiguous `xp` from its own strides.  Output slice z
+    reads lowered slices z .. z + k - 1, which lie back to back in the
+    buffer, so a window of n output slices is the strided
+    (n, k * c * k * k, rows * W) view of the buffer whose taps run in
+    (kz, c, ky, kx) order; consecutive output slices share k - 1 lowered
+    slices.  Before the next window of a strip, its last k - 1 lowered
+    slices are carried to the front of the buffer.
+
+    The buffer is held to `_COL_BYTES`: a strip is as many rows as let it
+    hold 3k - 2 lowered slices (at least one row, at most the slice), so a
+    window covers 2k - 1 output slices or more (or the whole depth) and
+    the carry copies less than half of what the window lowers; a window
+    then covers as many slices as the buffer holds beyond the k - 1
+    carried.  A single row that needs more keeps k lowered slices and
+    exceeds the budget.  Windows are yielded strip by strip, top to
+    bottom, and down depth within a strip.  All windows share the buffer,
+    so a yielded view is only valid until the next one is drawn.
     """
     d, h, w = out_shape
     c = xp.shape[0]
     sc, sz, sy, sx = xp.strides
-    win = np.ndarray((c, k, k, k, d, h, w), xp.dtype, xp, 0, (sc, sz, sy, sx, sz, sy, sx))
-    win.flags.writeable = False
-    taps = c * k ** 3
-    rows = _COL_BYTES // (taps * w * 8)
-    if rows >= h:
-        depth, rows = min(d, rows // h), h
-    else:
-        depth, rows = 1, min(h, max(rows, -(-_TILE_MIN_COLS // w)))
-    buf = np.empty(taps * depth * rows * w)
-    for z in range(0, d, depth):
-        n = min(depth, d - z)
-        for y in range(0, h, rows):
-            r = min(rows, h - y)
-            cols = buf[:taps * n * r * w].reshape(c, k, k, k, n, r, w)
-            np.copyto(cols, win[:, :, :, :, z:z + n, y:y + r])
-            yield (slice(None), slice(z, z + n), slice(y, y + r)), cols.reshape(taps, n * r * w)
+    low = np.ndarray((xp.shape[1], c, k, k, h, w), xp.dtype, xp, 0, (sz, sc, sy, sx, sy, sx))
+    low.flags.writeable = False
+    taps = c * k * k
+    row = taps * w * 8
+    rows = max(1, min(h, _COL_BYTES // ((3 * k - 2) * row)))
+    slices = max(k, min(d + k - 1, _COL_BYTES // (rows * row)))
+    per_window = slices - k + 1
+    buf = np.empty(slices * taps * rows * w)
+    for y in range(0, h, rows):
+        r = min(rows, h - y)
+        block = taps * r * w
+        lowered = buf[:slices * block].reshape(slices, c, k, k, r, w)
+        held = 0
+        for z in range(0, d, per_window):
+            n = min(per_window, d - z)
+            carried = min(held, k - 1)
+            lowered[:carried] = lowered[held - carried:held]
+            held = n + k - 1
+            np.copyto(lowered[carried:held], low[z + carried:z + held, :, :, :, y:y + r])
+            cols = np.ndarray((n, k * taps, r * w), buf.dtype, buf, 0, (block * 8, r * w * 8, 8))
+            yield slice(z, z + n), slice(y, y + r), cols
+
+
+def _window(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
+    """The (slices, C, rows * W) view of (C, D, H, W) `a` that one window covers."""
+    v = a.transpose(1, 0, 2, 3)[zs, :, ys]
+    return v.reshape(v.shape[0], v.shape[1], -1)
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray, out_shape) -> np.ndarray:
     """Valid cross-correlation of padded (C_in, ...) `xp` with (C_out, C_in, k, k, k) `w`."""
     c_out, k = w.shape[0], w.shape[2]
     out = np.empty((c_out,) + tuple(out_shape))
-    wmat = w.reshape(c_out, -1)
-    for idx, cols in _slabs(xp, k, out_shape):
-        np.matmul(wmat, cols, out=out[idx].reshape(c_out, -1))
+    wmat = w.transpose(0, 2, 1, 3, 4).reshape(c_out, -1)
+    for zs, ys, cols in _windows(xp, k, out_shape):
+        np.matmul(wmat, cols, out=_window(out, zs, ys))
     return out
 
 
@@ -317,11 +340,13 @@ def conv3d_backward(
     go = grad_out.data
     k = w.k
     grad_w = np.zeros((w.c_out, w.c_in * k ** 3))
-    for idx, cols in _slabs(_pad(x.data, (m,) * 3), k, out_shape):
-        grad_w += go[idx].reshape(w.c_out, -1) @ cols.T
+    for zs, ys, cols in _windows(_pad(x.data, (m,) * 3), k, out_shape):
+        for part in _window(go, zs, ys) @ cols.transpose(0, 2, 1):
+            grad_w += part
+    grad_w = grad_w.reshape(w.c_out, k, w.c_in, k, k).transpose(0, 2, 1, 3, 4)
     # grad_input is the full correlation of grad_out with the flipped,
     # channel-transposed kernel: pad so every input voxel sees all k^3 taps
     w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
     grad_x = _correlate(_pad(go, (k - 1 - m,) * 3), w_adj, x.data.shape[1:])
     grad_bias = go.sum(axis=(1, 2, 3)) if w.bias is not None else None
-    return FeatureMap(grad_x), ConvWeights(grad_w.reshape(w.data.shape), grad_bias)
+    return FeatureMap(grad_x), ConvWeights(grad_w, grad_bias)

@@ -748,7 +748,9 @@ class TestTopLevel:
         # the engine's contract: byte-identical results at 1 and 2 BLAS
         # threads, for the single-channel filter and the multichannel block
         c, _, h, w = _DIGEST_SHAPE
-        assert c * 3 ** 3 * h * w * 8 > tensor._COL_BYTES  # one slice's columns exceed the budget
+        # a strip of whole rows cannot hold the 3k - 2 lowered slices the
+        # engine asks for, so the first conv runs on row strips
+        assert (3 * 3 - 2) * c * 3 ** 2 * h * w * 8 > tensor._COL_BYTES
         rng = np.random.default_rng(287)
         src = tmp_path / "in.mha"
         write_mha(Volume(rng.normal(size=(20, 24, 28))), str(src))

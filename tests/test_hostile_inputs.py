@@ -9,6 +9,9 @@ Arguments that set the size of an array the command builds (`--k`,
 `--crop`, `--spacing` and the blur `--sigma`) are drawn from small valid
 values, invalid ones and sizes past the `MAX_ELEMENTS` limit only: a
 valid size below the limit makes the command allocate what it asks for.
+`filter` also runs with valid arguments on finite images of
++-1e308-scale values, whose convolution overflows float64: it must end
+in 0 or 4.
 Examples are derandomized and bounded so each run checks the same cases
 in about a second.
 """
@@ -209,7 +212,27 @@ def _hostile_input(d, files):
     return path
 
 
+# finite voxel values near the float64 limit, whose weighted sums overflow
+_huge = st.sampled_from([1e308, -1e308, 1.7976931348623157e308]) | st.floats(-1e308, 1e308)
+
+
 class TestVolumeCommands:
+    @settings(FUZZ, max_examples=40)
+    @given(data=st.lists(_huge, min_size=27, max_size=27),
+           k_padding=st.sampled_from([(3, "same_zero"), (5, "same_zero"), (3, "valid")]),
+           gamma=st.floats(0.01, 0.99), c=st.floats(1.0, 10.0))
+    def test_filter_overflow_of_finite_data_exits_4(self, data, k_padding, gamma, c):
+        # valid arguments, so the conv runs; an overflow of its products is a
+        # data failure (exit 4), never a configuration error or a warning
+        k, padding = k_padding
+        with tempfile.TemporaryDirectory() as d:
+            src = os.path.join(d, "huge.mha")
+            write_mha(Volume(np.reshape(data, (3, 3, 3))), src)
+            rc = _exit_code(["filter", "--in", src, "--out-on", os.path.join(d, "on.mha"),
+                             "--out-off", os.path.join(d, "off.mha"),
+                             f"--k={k}", f"--gamma={gamma!r}", f"--c={c!r}", f"--padding={padding}"])
+            assert rc in (0, 4)
+
     @settings(FUZZ, max_examples=80)
     @given(files=_files, ext=st.sampled_from([".mha", ".json"]), k=st.integers(-3, 9) | st.just(100001),
            gamma=_number(st.floats(0.01, 0.99)), c=_number(st.floats(1.0, 10.0)),

@@ -385,28 +385,55 @@ class TestSizeLimit:
             tensor._check_size(shape, "x")
 
 
-class TestSlabBoundaries:
-    """The engine splits the output into tiles sized by `_COL_BYTES`.
+def _hold(monkeypatch, c, k, w, rows, slices):
+    """Shrink `_COL_BYTES` to `rows` output rows of `slices` + k - 1 lowered slices.
 
-    The budget is shrunk so the forward output (7, 3, 2) splits into slabs
-    of 1 depth slice or uneven slabs of 3, 3 and 1 slices, or, below one
-    slice, into 1-row tiles or uneven tiles of 2 and 1 rows.  The column
-    floor is lowered to one voxel so it does not merge the row tiles.
+    Below 3k - 2 lowered slices the rule takes 1-row strips, so at k > 1 a
+    budget of 1 row and fewer than 2k - 1 slices gives windows of exactly
+    `slices` slices.
+    """
+    monkeypatch.setattr(tensor, "_COL_BYTES", rows * (slices + k - 1) * c * k * k * w * 8)
+
+
+def _splits(c, k, out_shape):
+    """(first slice, slices, first row, rows) of every window `_windows` yields, in order."""
+    xp = np.zeros((c,) + tuple(s + k - 1 for s in out_shape))
+    return [(zs.start, zs.stop - zs.start, ys.start, ys.stop - ys.start)
+            for zs, ys, _ in tensor._windows(xp, k, out_shape)]
+
+
+class TestSlabBoundaries:
+    """The engine splits the output into depth windows and row strips sized by `_COL_BYTES`.
+
+    The budget is shrunk so the forward output (7, 3, 2) splits into
+    windows of 1 slice or uneven windows of 3, 3 and 1 slices (at k > 1
+    the carry runs across every window boundary), and into strips of 1
+    row or uneven strips of 2 and 1 rows.
     """
 
     OUT = (7, 3, 2)
     C_OUT = 2
-    # test id -> (depth slices, output rows) one tile's columns fill
-    TILES = {"1": (1, 3), "3": (3, 3), "rows2": (1, 2), "rows1": (1, 1)}
+    # test id -> (strip rows, window slices) at kernel size k.  With nothing
+    # carried at k = 1 the rule grows the strip first, so 3-slice windows
+    # come with whole rows; at k > 1, 2-row strips need the 2k - 1 slices
+    # the rule asks of a window.
+    TILES = {
+        "1": lambda k: (1, 1),
+        "3": lambda k: (3, 3) if k == 1 else (1, 3),
+        "rows2": lambda k: (2, 2 * k - 1),
+        "rows1": lambda k: (1, 2 * k - 1),
+    }
 
     @staticmethod
     def _setup(monkeypatch, k, padding, c_in, tile, seed):
         grow = 0 if padding == PAD_SAME else k - 1
         spatial = tuple(s + grow for s in TestSlabBoundaries.OUT)
-        depth, rows = TestSlabBoundaries.TILES[tile]
-        w = TestSlabBoundaries.OUT[2]
-        monkeypatch.setattr(tensor, "_COL_BYTES", depth * rows * c_in * k ** 3 * w * 8)
-        monkeypatch.setattr(tensor, "_TILE_MIN_COLS", 1)
+        rows, slices = TestSlabBoundaries.TILES[tile](k)
+        d, h, w = TestSlabBoundaries.OUT
+        _hold(monkeypatch, c_in, k, w, rows, slices)
+        assert _splits(c_in, k, TestSlabBoundaries.OUT) == [
+            (z, min(slices, d - z), y, min(rows, h - y)) for y in range(0, h, rows) for z in range(0, d, slices)
+        ]
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(c_in,) + spatial)
         w0 = rng.normal(size=(TestSlabBoundaries.C_OUT, c_in, k, k, k))
@@ -465,57 +492,132 @@ _IM2COL_CASES = [
 ]
 
 
+# the 2-row budgets come last so the earlier cases keep their ids
 _ROW_TILE_CASES = [
-    (shape, k, padding, rows, floor_rows)
+    (shape, k, padding, rows, slices)
+    for budgets in (((1, 1), (2, 1), (4, 1), (1, 2), (1, 9)), ((2, 5), (2, 9)))
     for shape, k, padding in _IM2COL_CASES
-    for rows, floor_rows in ((1, 1), (2, 1), (4, 1), (1, 2), (1, 9))
+    for rows, slices in budgets
     if rows < conv3d_output_shape(shape, k, padding)[1]
 ]
 
 
 class TestIm2col:
-    """The engine's strided window view against the np.pad + sliding_window_view oracle."""
+    """The lowered windows against the np.pad + sliding_window_view oracle, byte for byte.
+
+    For every output slice of every window, the k lowered slices stacked
+    in the buffer must equal the oracle's columns of that slice and row
+    strip, with the taps permuted from (c, kz, ky, kx) to (kz, c, ky, kx).
+    """
 
     @staticmethod
-    def _tiles(x, k, padding, out_shape):
-        """The output index of every tile, and all tiles' columns side by side."""
+    def _windows_match_oracle(x, k, padding):
+        """Check every window against the oracle; return the windows' (first slice, slices, first row, rows)."""
+        c = x.shape[0]
+        out_shape = conv3d_output_shape(x.shape[1:], k, padding)
+        taps = k * c * k * k
+        want = im2col(x, k, padding).reshape((c, k, k * k) + out_shape).transpose(1, 0, 2, 3, 4, 5)
+        want = want.reshape((taps,) + out_shape)
+        covered = np.zeros(out_shape, dtype=int)
+        splits = []
         m = k // 2 if padding == PAD_SAME else 0
-        tiles, blocks = [], []
-        for idx, cols in tensor._slabs(tensor._pad(x, (m,) * 3), k, out_shape):
-            tiles.append(idx)
-            blocks.append(cols.copy())  # the tile buffer is reused by the next tile
-        return tiles, np.concatenate(blocks, axis=1)
+        for zs, ys, cols in tensor._windows(tensor._pad(x, (m,) * 3), k, out_shape):
+            for j, z in enumerate(range(zs.start, zs.stop)):
+                assert np.array_equal(cols[j], want[:, z, ys].reshape(taps, -1))
+            covered[zs, ys] += 1
+            splits.append((zs.start, zs.stop - zs.start, ys.start, ys.stop - ys.start))
+        assert (covered == 1).all()
+        return splits
 
     @pytest.mark.parametrize("multi_slab", [False, True])
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize("shape,k,padding", _IM2COL_CASES)
     def test_columns_equal_oracle_bytes(self, monkeypatch, shape, k, padding, c, multi_slab):
-        out_shape = conv3d_output_shape(shape, k, padding)
-        d, h, w = out_shape
+        # the default budget holds the whole output; a budget of one row of k
+        # lowered slices gives 1-row strips and 1-slice windows
+        d, h, w = conv3d_output_shape(shape, k, padding)
         if multi_slab:
-            monkeypatch.setattr(tensor, "_COL_BYTES", c * k ** 3 * h * w * 8)
+            _hold(monkeypatch, c, k, w, 1, 1)
         x = np.random.default_rng(61).normal(size=(c,) + shape)
-        tiles, cols = self._tiles(x, k, padding, out_shape)
-        depth = 1 if multi_slab else d
-        assert tiles == [(slice(None), slice(z, z + depth), slice(0, h)) for z in range(0, d, depth)]
-        assert np.array_equal(cols, im2col(x, k, padding))
+        want = [(z, 1, y, 1) for y in range(h) for z in range(d)] if multi_slab else [(0, d, 0, h)]
+        assert self._windows_match_oracle(x, k, padding) == want
 
     @pytest.mark.parametrize("c", [1, 3])
-    @pytest.mark.parametrize("shape,k,padding,rows,floor_rows", _ROW_TILE_CASES)
-    def test_row_tiles_equal_oracle_bytes(self, monkeypatch, shape, k, padding, c, rows, floor_rows):
-        # the budget holds `rows` output rows, fewer than a slice has; the column
-        # floor asks for `floor_rows`, at most one whole slice
-        out_shape = conv3d_output_shape(shape, k, padding)
-        d, h, w = out_shape
-        monkeypatch.setattr(tensor, "_COL_BYTES", rows * c * k ** 3 * w * 8)
-        monkeypatch.setattr(tensor, "_TILE_MIN_COLS", (floor_rows - 1) * w + 1)
+    @pytest.mark.parametrize("shape,k,padding,rows,slices", _ROW_TILE_CASES)
+    def test_row_tiles_equal_oracle_bytes(self, monkeypatch, shape, k, padding, c, rows, slices):
+        # the budget holds `rows` rows of `slices` + k - 1 lowered slices; the
+        # split restates the rule: strips of as many rows as hold 3k - 2
+        # lowered slices, then windows of as many slices as the buffer holds
+        # beyond the k - 1 carried, at least 1 row and 1 slice
+        d, h, w = conv3d_output_shape(shape, k, padding)
+        _hold(monkeypatch, c, k, w, rows, slices)
+        row = c * k * k * w * 8
+        r = max(1, min(h, tensor._COL_BYTES // ((3 * k - 2) * row)))
+        n = max(k, min(d + k - 1, tensor._COL_BYTES // (r * row))) - k + 1
         x = np.random.default_rng(71).normal(size=(c,) + shape)
-        tiles, cols = self._tiles(x, k, padding, out_shape)
-        r = min(h, max(rows, floor_rows))
-        assert tiles == [
-            (slice(None), slice(z, z + 1), slice(y, min(y + r, h))) for z in range(d) for y in range(0, h, r)
-        ]
-        assert np.array_equal(cols, im2col(x, k, padding))
+        want = [(z, min(n, d - z), y, min(r, h - y)) for y in range(0, h, r) for z in range(0, d, n)]
+        assert self._windows_match_oracle(x, k, padding) == want
+
+
+# (input spatial shape, k, padding, budget as (rows, slices) for `_hold` or
+# None for the default): same padding with fewer slices than k - 1, valid
+# padding with one output slice, last windows shorter than k - 1 (7 = 3 + 3 + 1
+# and 8 = 3 + 3 + 2 at k = 5, 7 = 2 + 2 + 2 + 1 at k = 3), and k = 1
+_CARRY_CASES = {
+    "same-d1-k5": ((1, 4, 3), 5, PAD_SAME, None),
+    "same-d1-k5-rows1": ((1, 4, 3), 5, PAD_SAME, (1, 1)),
+    "same-d3-k5": ((3, 4, 3), 5, PAD_SAME, None),
+    "same-d3-k5-rows1": ((3, 4, 3), 5, PAD_SAME, (1, 1)),
+    "valid-d1-k3": ((3, 5, 4), 3, PAD_VALID, (1, 1)),
+    "valid-d1-k5": ((5, 6, 5), 5, PAD_VALID, None),
+    "short-last-1-k5": ((7, 3, 3), 5, PAD_SAME, (1, 3)),
+    "short-last-2-k5": ((8, 3, 3), 5, PAD_SAME, (1, 3)),
+    "short-last-1-k3": ((7, 3, 4), 3, PAD_SAME, (1, 2)),
+    "k1": ((4, 3, 5), 1, PAD_SAME, None),
+    "k1-rows1": ((4, 3, 5), 1, PAD_SAME, (1, 1)),
+}
+
+
+class TestWindowCarry:
+    """Edge cases of the k - 1 lowered slices carried between windows.
+
+    A stale row left in the shared buffer by an earlier window or strip
+    would show as a wrong output voxel or gradient entry.
+    """
+
+    @staticmethod
+    def _setup(monkeypatch, spatial, k, padding, budget, seed, c_in=2, c_out=2):
+        out_shape = conv3d_output_shape(spatial, k, padding)
+        if budget is not None:
+            _hold(monkeypatch, c_in, k, out_shape[2], *budget)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c_in,) + spatial)
+        w0 = rng.normal(size=(c_out, c_in, k, k, k))
+        return x, w0, rng.normal(size=c_out), rng.normal(size=(c_out,) + out_shape)
+
+    @pytest.mark.parametrize("case", list(_CARRY_CASES))
+    def test_forward_matches_oracle(self, monkeypatch, case):
+        spatial, k, padding, budget = _CARRY_CASES[case]
+        x, w0, bias, _ = self._setup(monkeypatch, spatial, k, padding, budget, 83)
+        got = conv3d_forward(FeatureMap(x), ConvWeights(w0, bias=bias), padding).data
+        assert np.abs(got - naive_conv3d(x, w0, bias, padding)).max() < 1e-9
+
+    @pytest.mark.parametrize("case", list(_CARRY_CASES))
+    def test_backward_matches_central_difference(self, monkeypatch, case):
+        spatial, k, padding, budget = _CARRY_CASES[case]
+        x0, w0, bias, probe = self._setup(monkeypatch, spatial, k, padding, budget, 89)
+
+        def phi_w(wdata):
+            return float(np.sum(conv3d_forward(FeatureMap(x0), ConvWeights(wdata), padding).data * probe))
+
+        def phi_x(xdata):
+            return float(np.sum(conv3d_forward(FeatureMap(xdata), ConvWeights(w0), padding).data * probe))
+
+        # linear objectives: a unit step has no truncation error
+        gx, gw = conv3d_backward(FeatureMap(x0), ConvWeights(w0, bias=bias), FeatureMap(probe), padding)
+        assert max_rel_err(gw.data, central_difference(phi_w, w0, h=1.0)) < 1e-6
+        assert max_rel_err(gx.data, central_difference(phi_x, x0, h=1.0)) < 1e-6
+        assert max_rel_err(gw.bias, probe.sum(axis=(1, 2, 3))) < 1e-12
 
 
 class TestInputsUntouched:
