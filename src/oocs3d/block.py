@@ -22,6 +22,14 @@ many parameters as the same two-pathway block without the injections.
 Because each pathway's second convolution maps c_out/2 channels onto
 c_out/2, that count is exactly (c_out**2 / 2) * k_learn**3 below the
 full-width c_in -> c_out -> c_out two-conv stack.
+
+A forward pass may start from the cache of an earlier one (`base=`, see
+`block_forward`) and take from it every stage whose inputs are the same
+objects as there.  The reuse is byte-exact: containers freeze their
+buffers, so the same object holds the same bytes, and the convolution is
+byte-deterministic at a fixed BLAS thread count.  The finite-difference
+check uses it, since most of its probes move one conv and leave the
+other stages as they were.
 """
 
 from __future__ import annotations
@@ -126,9 +134,16 @@ class BlockGrads:
 
 @dataclass(frozen=True)
 class BlockCache:
-    """Forward intermediates needed by the backward pass."""
+    """Forward intermediates: the backward pass reads them, and a later forward may reuse them.
+
+    `params` are the parameters the forward ran with and `r` is the fixed
+    response R, so `block_forward(..., base=cache)` can tell which stages
+    it may take from here.
+    """
 
     x: FeatureMap
+    params: OocsBlockParams
+    r: np.ndarray
     pre1_on: np.ndarray
     pre1_off: np.ndarray
     pre2_on: np.ndarray
@@ -160,21 +175,44 @@ def _relu(arr: np.ndarray) -> np.ndarray:
 
 
 def block_forward(
-    x: FeatureMap, params: OocsBlockParams, cfg: OocsBlockConfig
+    x: FeatureMap, params: OocsBlockParams, cfg: OocsBlockConfig, base: BlockCache | None = None
 ) -> tuple[FeatureMap, BlockCache]:
-    """Run the block; returns the concatenated output and the backward cache."""
+    """Run the block; returns the concatenated output and the backward cache.
+
+    With `base`, the cache of an earlier forward through the same block,
+    a stage reuses `base`'s array when each of its inputs is the same
+    object (`is`, not equal values) as in `base`:
+
+    * R when `x is base.x` and `on_kernel` is `base`'s;
+    * `pre1_on` when R is reused and `w1_on` is `base`'s (`pre1_off`
+      likewise with `w1_off`);
+    * `pre2_on` when `pre1_on` is reused and `w2_on` is `base`'s
+      (`pre2_off` likewise with `w2_off`).
+
+    The result is byte-identical to a forward without `base`, which is
+    the same code with no stage reused.
+    """
     if x.channels != cfg.c_in:
         raise DimensionError(f"input has {x.channels} channels, block expects {cfg.c_in}")
     if params.w1_on.c_in != cfg.c_in or params.w1_on.c_out != cfg.c_half:
         raise DimensionError("params do not match the block config")
-    x_sum = FeatureMap(x.data.sum(axis=0, keepdims=True))
-    r = conv3d_forward(x_sum, ConvWeights(params.on_kernel.data / cfg.c_in)).data
-    pre1_on = conv3d_forward(x, params.w1_on).data + r
-    pre1_off = conv3d_forward(x, params.w1_off).data - r
-    pre2_on = conv3d_forward(FeatureMap(_relu(pre1_on)), params.w2_on).data
-    pre2_off = conv3d_forward(FeatureMap(_relu(pre1_off)), params.w2_off).data
+    keep_r = base is not None and x is base.x and params.on_kernel is base.params.on_kernel
+    keep1_on = keep_r and params.w1_on is base.params.w1_on
+    keep1_off = keep_r and params.w1_off is base.params.w1_off
+    keep2_on = keep1_on and params.w2_on is base.params.w2_on
+    keep2_off = keep1_off and params.w2_off is base.params.w2_off
+    if keep_r:
+        r = base.r
+    else:
+        x_sum = FeatureMap(x.data.sum(axis=0, keepdims=True))
+        r = conv3d_forward(x_sum, ConvWeights(params.on_kernel.data / cfg.c_in)).data
+    pre1_on = base.pre1_on if keep1_on else conv3d_forward(x, params.w1_on).data + r
+    pre1_off = base.pre1_off if keep1_off else conv3d_forward(x, params.w1_off).data - r
+    pre2_on = base.pre2_on if keep2_on else conv3d_forward(FeatureMap(_relu(pre1_on)), params.w2_on).data
+    pre2_off = base.pre2_off if keep2_off else conv3d_forward(FeatureMap(_relu(pre1_off)), params.w2_off).data
     y = FeatureMap(np.concatenate([_relu(pre2_on), _relu(pre2_off)], axis=0))
-    cache = BlockCache(x=x, pre1_on=pre1_on, pre1_off=pre1_off, pre2_on=pre2_on, pre2_off=pre2_off)
+    cache = BlockCache(x=x, params=params, r=r, pre1_on=pre1_on, pre1_off=pre1_off,
+                       pre2_on=pre2_on, pre2_off=pre2_off)
     return y, cache
 
 

@@ -72,12 +72,14 @@ def block_gradient_check(
     x = FeatureMap(rng.uniform(-1.0, 1.0, (cfg.c_in,) + tuple(spatial)))
     probe = rng.normal(size=(cfg.c_out,) + tuple(spatial))
 
-    def phi(xin: FeatureMap, p: OocsBlockParams):
-        y, cache = block_forward(xin, p, cfg)
-        return float(np.sum(y.data * probe)), _masks(cache)
-
     _, base_cache = block_forward(x, params, cfg)
     base_masks = _masks(base_cache)
+
+    def phi(xin: FeatureMap, p: OocsBlockParams):
+        # a probe moves one conv or the input; the stages it leaves alone come from the base cache
+        y, cache = block_forward(xin, p, cfg, base=base_cache)
+        return float(np.sum(y.data * probe)), _masks(cache)
+
     gx, grads = block_backward(FeatureMap(probe), base_cache, params, cfg)
 
     def moved(name, data, bias):

@@ -360,3 +360,99 @@ class TestDeterminism:
         y1, _ = block_forward(x, params, cfg)
         y2, _ = block_forward(x, params, cfg)
         assert y1.data.tobytes() == y2.data.tobytes()
+
+
+def _nudged(params, name, rng, data):
+    """`params` with the data (or only the bias) of conv `name` moved by a small random step."""
+    w = getattr(params, name)
+    if data:
+        w = ConvWeights(w.data + 1e-3 * rng.normal(size=w.data.shape), w.bias)
+    else:
+        w = ConvWeights(w.data, w.bias + 1e-3 * rng.normal(size=w.bias.shape))
+    return dataclasses.replace(params, **{name: w})
+
+
+# each probe kind: what it moves, and how many convs a forward from the base cache runs for it
+_MOVES = {
+    "nothing": (lambda x, p, rng: (x, p), 0),
+    "w1_on": (lambda x, p, rng: (x, _nudged(p, "w1_on", rng, data=True)), 2),
+    "w1_off": (lambda x, p, rng: (x, _nudged(p, "w1_off", rng, data=True)), 2),
+    "w2_on": (lambda x, p, rng: (x, _nudged(p, "w2_on", rng, data=True)), 1),
+    "w2_off": (lambda x, p, rng: (x, _nudged(p, "w2_off", rng, data=True)), 1),
+    "w1_off_bias": (lambda x, p, rng: (x, _nudged(p, "w1_off", rng, data=False)), 2),
+    "w2_on_bias": (lambda x, p, rng: (x, _nudged(p, "w2_on", rng, data=False)), 1),
+    "input": (lambda x, p, rng: (FeatureMap(x.data + 1e-3 * rng.normal(size=x.data.shape)), p), 5),
+    "on_kernel": (lambda x, p, rng: (x, _with_fixed_kernel(p, rng.normal(size=p.on_kernel.data.shape[2:]))), 5),
+}
+
+_CACHE_ARRAYS = ("r", "pre1_on", "pre1_off", "pre2_on", "pre2_off")
+
+
+class TestStageReuse:
+    """`block_forward(..., base=)` reuses a stage only when its inputs are the same objects."""
+
+    @staticmethod
+    def _setup(c_in=2, k_oocs=3):
+        cfg = OocsBlockConfig(c_in=c_in, c_out=4, k_oocs=k_oocs)
+        params = init_block_params(cfg, seed=41)
+        rng = make_rng(41)
+        x = FeatureMap(rng.normal(size=(c_in, 5, 6, 4)))
+        _, base = block_forward(x, params, cfg)
+        return cfg, params, x, base, rng
+
+    @staticmethod
+    def _counted(monkeypatch):
+        import oocs3d.block as block
+
+        calls = []
+        real = block.conv3d_forward
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(block, "conv3d_forward", counting)
+        return calls
+
+    @pytest.mark.parametrize("k_oocs", [3, 5])
+    @pytest.mark.parametrize("c_in", [1, 2])
+    @pytest.mark.parametrize("kind", list(_MOVES))
+    def test_bytes_equal_a_full_forward(self, kind, c_in, k_oocs):
+        cfg, params, x, base, rng = self._setup(c_in, k_oocs)
+        xm, pm = _MOVES[kind][0](x, params, rng)
+        y_full, full = block_forward(xm, pm, cfg)
+        y_inc, inc = block_forward(xm, pm, cfg, base=base)
+        assert y_inc.data.tobytes() == y_full.data.tobytes()
+        for field in _CACHE_ARRAYS:
+            assert getattr(inc, field).tobytes() == getattr(full, field).tobytes(), field
+        assert inc.x is xm and inc.params is pm
+
+    @pytest.mark.parametrize("kind", list(_MOVES))
+    def test_runs_only_the_convs_a_move_reaches(self, kind, monkeypatch):
+        cfg, params, x, base, rng = self._setup()
+        xm, pm = _MOVES[kind][0](x, params, rng)
+        calls = self._counted(monkeypatch)
+        block_forward(xm, pm, cfg, base=base)
+        assert len(calls) == _MOVES[kind][1]
+
+    def test_without_base_runs_every_conv(self, monkeypatch):
+        cfg, params, x, _, _ = self._setup()
+        calls = self._counted(monkeypatch)
+        block_forward(x, params, cfg)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("what, convs", [
+        ("w2_on", 1), ("w1_off", 2), ("on_kernel", 5), ("input", 5),
+    ])
+    def test_equal_bytes_in_a_new_object_are_recomputed(self, what, convs, monkeypatch):
+        cfg, params, x, base, _ = self._setup()
+        if what == "input":
+            xm, pm = FeatureMap(x.data.copy()), params
+        else:
+            w = getattr(params, what)
+            xm, pm = x, dataclasses.replace(params, **{what: ConvWeights(w.data.copy(), w.bias)})
+        calls = self._counted(monkeypatch)
+        y_inc, _ = block_forward(xm, pm, cfg, base=base)
+        assert len(calls) == convs
+        y_full, _ = block_forward(x, params, cfg)
+        assert y_inc.data.tobytes() == y_full.data.tobytes()

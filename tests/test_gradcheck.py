@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from oocs3d import gradcheck
+from oocs3d import block, gradcheck
 from oocs3d.block import LEARNABLE, OocsBlockConfig
 from oocs3d.errors import DomainError
 from oocs3d.gradcheck import block_gradient_check, run_gradcheck_grid
@@ -77,6 +77,27 @@ class TestProbeTargets:
     def test_every_target_gets_n_dirs_directions(self, n_dirs):
         case = block_gradient_check(OocsBlockConfig(c_in=1, c_out=4), seed=0, spatial=(5, 5, 5), n_dirs=n_dirs)
         assert case.directions == len(TARGETS) * n_dirs == 9 * n_dirs
+
+
+class TestStageReuse:
+    def test_rows_equal_those_of_full_forwards(self, monkeypatch):
+        # each probe's forward starts from the base point's cache; dropping
+        # that cache, so every probe runs all five convs, must change no row
+        grid = dict(k_oocs=(3, 5), c_in=(1, 2), c_out=(4,), seeds=(0,), n_dirs=2, spatial=(5, 5, 5))
+        convs = []
+        real_conv = block.conv3d_forward
+
+        def counted_conv(*args, **kwargs):
+            convs.append(None)
+            return real_conv(*args, **kwargs)
+
+        monkeypatch.setattr(block, "conv3d_forward", counted_conv)
+        shipped = run_gradcheck_grid(**grid)
+        shipped_convs = len(convs)
+        real = gradcheck.block_forward
+        monkeypatch.setattr(gradcheck, "block_forward", lambda x, params, cfg, base=None: real(x, params, cfg))
+        assert run_gradcheck_grid(**grid) == shipped
+        assert shipped_convs < len(convs) - shipped_convs
 
 
 class TestGrid:

@@ -9,7 +9,8 @@ Arguments that set the size of an array the command builds (`--k`,
 `--crop`, `--spacing` and the blur `--sigma`) are drawn from small valid
 values, invalid ones and sizes past the `MAX_ELEMENTS` limit only: a
 valid size below the limit makes the command allocate what it asks for.
-`filter` also runs with valid arguments on finite images of
+`filter` also runs with valid arguments on mutated files of a 3x3x3
+volume, so every intact file reaches the conv, and on finite images of
 +-1e308-scale values, whose convolution overflows float64: it must end
 in 0 or 4.
 Examples are derandomized and bounded so each run checks the same cases
@@ -94,11 +95,11 @@ def _read_or_reject(reader, path):
     assert isinstance(obj, (Volume, BinaryMask))
 
 
-def _valid_files(d):
+def _valid_files(d, shape=(2, 3, 2)):
     """A small image and mask in both formats; returns their paths."""
     rng = np.random.default_rng(0)
-    v = Volume(rng.normal(size=(2, 3, 2)), (1.0, 0.5, 2.0))
-    m = BinaryMask(rng.random((2, 3, 2)) < 0.5)
+    v = Volume(rng.normal(size=shape), (1.0, 0.5, 2.0))
+    m = BinaryMask(rng.random(shape) < 0.5)
     paths = []
     for name, obj in (("image", v), ("mask", m)):
         for ext, writer in ((".mha", write_mha), (".json", write_raw_json)):
@@ -200,10 +201,10 @@ _invalid_size = st.sampled_from(["nan", "inf", "-inf", "0.0", "-1.0", "-1e+300"]
 _files = st.tuples(st.integers(0, 3), st.none() | st.tuples(_mutations, st.integers(0, 400)))
 
 
-def _hostile_input(d, files):
+def _hostile_input(d, files, shape=(2, 3, 2)):
     """One of the four valid files, byte-mutated and truncated in place; returns its path."""
     which, mutation = files
-    path = _valid_files(d)[which]
+    path = _valid_files(d, shape)[which]
     if mutation is not None:
         with open(path, "rb") as f:
             data = f.read()
@@ -234,10 +235,27 @@ class TestVolumeCommands:
             assert rc in (0, 4)
 
     @settings(FUZZ, max_examples=80)
+    @given(files=_files, ext=st.sampled_from([".mha", ".json"]),
+           k_padding=st.sampled_from([(3, "same_zero"), (5, "same_zero"), (7, "same_zero"), (3, "valid")]),
+           gamma=st.floats(0.01, 0.99), c=st.floats(1.0, 10.0))
+    def test_filter_with_valid_arguments_never_exits_1(self, files, ext, k_padding, gamma, c):
+        # every argument valid and a 3x3x3 input that a k = 3 valid conv fits,
+        # so each intact file reaches the conv and only the file can fail
+        k, padding = k_padding
+        with tempfile.TemporaryDirectory() as d:
+            rc = _exit_code(["filter", "--in", _hostile_input(d, files, shape=(3, 3, 3)),
+                             "--out-on", os.path.join(d, "on" + ext),
+                             "--out-off", os.path.join(d, "off" + ext),
+                             f"--k={k}", f"--gamma={gamma!r}", f"--c={c!r}", f"--padding={padding}"])
+            assert rc in (0, 2, 3, 4)
+
+    @settings(FUZZ, max_examples=80)
     @given(files=_files, ext=st.sampled_from([".mha", ".json"]), k=st.integers(-3, 9) | st.just(100001),
            gamma=_number(st.floats(0.01, 0.99)), c=_number(st.floats(1.0, 10.0)),
            padding=st.sampled_from(["same_zero", "valid"]))
     def test_filter_never_exits_1(self, files, ext, k, gamma, c, padding):
+        # fuzzed, mostly invalid arguments exercise the argument checks; the
+        # conv is reached by the valid-argument test above
         with tempfile.TemporaryDirectory() as d:
             rc = _exit_code(["filter", "--in", _hostile_input(d, files),
                              "--out-on", os.path.join(d, "on" + ext),
