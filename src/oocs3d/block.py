@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .kernels import KernelSpec, make_kernel
 from .rng import make_rng
-from .tensor import ConvWeights, FeatureMap, conv3d_backward, conv3d_forward
+from .tensor import ConvWeights, FeatureMap, _seal, conv3d_backward, conv3d_forward
 
 # the four learnable convs, in the field order of OocsBlockParams and BlockGrads
 LEARNABLE = ("w1_on", "w1_off", "w2_on", "w2_off")
@@ -171,7 +171,7 @@ def init_block_params(cfg: OocsBlockConfig, seed: int) -> OocsBlockParams:
 
 
 def _relu(arr: np.ndarray) -> np.ndarray:
-    return np.maximum(arr, 0.0)
+    return _seal(np.maximum(arr, 0.0))
 
 
 def block_forward(
@@ -204,13 +204,13 @@ def block_forward(
     if keep_r:
         r = base.r
     else:
-        x_sum = FeatureMap(x.data.sum(axis=0, keepdims=True))
+        x_sum = FeatureMap(_seal(x.data.sum(axis=0, keepdims=True)))
         r = conv3d_forward(x_sum, ConvWeights(params.on_kernel.data / cfg.c_in)).data
     pre1_on = base.pre1_on if keep1_on else conv3d_forward(x, params.w1_on).data + r
     pre1_off = base.pre1_off if keep1_off else conv3d_forward(x, params.w1_off).data - r
     pre2_on = base.pre2_on if keep2_on else conv3d_forward(FeatureMap(_relu(pre1_on)), params.w2_on).data
     pre2_off = base.pre2_off if keep2_off else conv3d_forward(FeatureMap(_relu(pre1_off)), params.w2_off).data
-    y = FeatureMap(np.concatenate([_relu(pre2_on), _relu(pre2_off)], axis=0))
+    y = FeatureMap(_seal(np.concatenate([_relu(pre2_on), _relu(pre2_off)], axis=0)))
     cache = BlockCache(x=x, params=params, r=r, pre1_on=pre1_on, pre1_off=pre1_off,
                        pre2_on=pre2_on, pre2_off=pre2_off)
     return y, cache
@@ -235,9 +235,9 @@ def block_backward(
         )
 
     def half_backward(g_a2, pre2, pre1, w2, w1):
-        g_pre2 = g_a2 * (pre2 > 0.0)
+        g_pre2 = _seal(g_a2 * (pre2 > 0.0))
         g_a1, g_w2 = conv3d_backward(FeatureMap(_relu(pre1)), w2, FeatureMap(g_pre2))
-        g_pre1 = g_a1.data * (pre1 > 0.0)
+        g_pre1 = _seal(g_a1.data * (pre1 > 0.0))
         g_x, g_w1 = conv3d_backward(cache.x, w1, FeatureMap(g_pre1))
         return g_x.data, g_pre1.sum(axis=0), g_w1, g_w2
 
@@ -248,9 +248,9 @@ def block_backward(
         grad_y.data[ch:], cache.pre2_off, cache.pre1_off, params.w2_off, params.w1_off
     )
     flipped = ConvWeights((params.on_kernel.data / cfg.c_in)[..., ::-1, ::-1, ::-1])
-    gx_fixed = conv3d_forward(FeatureMap((s_on - s_off)[None]), flipped).data
+    gx_fixed = conv3d_forward(FeatureMap(_seal(s_on - s_off)[None]), flipped).data
     grads = BlockGrads(w1_on=g_w1_on, w1_off=g_w1_off, w2_on=g_w2_on, w2_off=g_w2_off)
-    return FeatureMap(gx_on + gx_off + gx_fixed), grads
+    return FeatureMap(_seal(gx_on + gx_off + gx_fixed)), grads
 
 
 def learnable_param_count(params: OocsBlockParams) -> int:

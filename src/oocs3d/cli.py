@@ -112,7 +112,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_filter(args) -> int:
     from .kernels import KernelSpec, make_kernel
-    from .tensor import ConvWeights, FeatureMap, Volume, conv3d_forward
+    from .tensor import ConvWeights, FeatureMap, Volume, _seal, conv3d_forward
 
     spec = KernelSpec(k=args.k, gamma=args.gamma, c=args.c, dims=3)
     v = _read_volume(args.image)
@@ -120,7 +120,7 @@ def _cmd_filter(args) -> int:
     on = conv3d_forward(FeatureMap.from_volume(v), w, padding=args.padding).to_volume(v.spacing)
     _write_any(on, args.out_on)
     # the Off kernel is the exact negation of the On kernel, so is its response
-    _write_any(Volume(-on.data, v.spacing), args.out_off)
+    _write_any(Volume(_seal(-on.data), v.spacing), args.out_off)
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .block import LEARNABLE, OocsBlockConfig, OocsBlockParams, block_backward, block_forward, init_block_params
 from .errors import DomainError
 from .rng import make_rng
-from .tensor import ConvWeights, FeatureMap, _check_size
+from .tensor import ConvWeights, FeatureMap, _check_size, _seal
 
 # offset separating the probe stream from the parameter-init stream
 _PROBE_STREAM = 1_000_003
@@ -91,7 +91,7 @@ def block_gradient_check(
         w, g = getattr(params, name), getattr(grads, name)
         targets.append((g.data, lambda step, name=name, w=w: moved(name, w.data + step, w.bias)))
         targets.append((g.bias, lambda step, name=name, w=w: moved(name, w.data, w.bias + step)))
-    targets.append((gx.data, lambda step: (FeatureMap(x.data + step), params)))
+    targets.append((gx.data, lambda step: (FeatureMap(_seal(x.data + step)), params)))
 
     max_rel = 0.0
     redraws = 0

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DimensionError, DomainError
-from .tensor import FeatureMap, _zero_one
+from .tensor import FeatureMap, _seal, _zero_one
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def bce_loss(pair: PredictionPair) -> tuple[float, FeatureMap]:
     per_voxel = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     n = z.size
     grad = (expit(z) - t) / n
-    return float(per_voxel.mean()), FeatureMap(grad[None])
+    return float(per_voxel.mean()), FeatureMap(_seal(grad)[None])
 
 
 def soft_dice_loss(pair: PredictionPair) -> tuple[float, FeatureMap]:
@@ -67,7 +67,7 @@ def soft_dice_loss(pair: PredictionPair) -> tuple[float, FeatureMap]:
     # d loss / d s, then chain through the sigmoid
     d_s = -(2.0 * t * (total + eps) - (2.0 * inter + eps)) / (total + eps) ** 2
     grad = d_s * s * (1.0 - s)
-    return loss, FeatureMap(grad[None])
+    return loss, FeatureMap(_seal(grad)[None])
 
 
 def bce_dice_loss(
@@ -83,4 +83,4 @@ def bce_dice_loss(
     l_dice, g_dice = soft_dice_loss(pair)
     loss = w_bce * l_bce + w_dice * l_dice
     grad = w_bce * g_bce.data + w_dice * g_dice.data
-    return loss, FeatureMap(grad)
+    return loss, FeatureMap(_seal(grad))

@@ -32,21 +32,34 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def _directed_mm(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
+def _directed_mm(a: np.ndarray, b: np.ndarray, start: np.ndarray, spacing: np.ndarray) -> float:
     """Farthest distance in mm from a voxel of mask A to its nearest voxel of B.
 
+    `a` and `b` are the masks cropped to a box whose first voxel sits at
+    index `start` of the whole volume; indices get `start` back before
+    they are scaled, so every coordinate is the same float as uncropped.
     Only voxels of A outside B are queried; the rest are at distance 0.
-    The tree holds B's 6-connected edge only (voxels on the volume
-    border count as edge): from a point outside B, one axis step toward
-    it from any interior voxel of B stays in B and is strictly closer
-    under any spacing, so the nearest voxel of B is always an edge one
-    and the result is the same float as against all of B.
+    The tree holds B's 6-connected edge only (voxels on the box border
+    count as edge): from a point outside B, one axis step toward it from
+    any interior voxel of B stays in B and is strictly closer under any
+    spacing, so the nearest voxel of B is always an edge one and the
+    result is the same float as against all of B.
     """
     outside = np.argwhere(a & ~b)
     if not len(outside):
         return 0.0
     edge = np.argwhere(b & ~ndimage.binary_erosion(b))
-    return float(cKDTree(edge * spacing).query(outside * spacing)[0].max())
+    return float(cKDTree((edge + start) * spacing).query((outside + start) * spacing)[0].max())
+
+
+def _joint_box(a: np.ndarray, b: np.ndarray) -> tuple[slice, ...]:
+    """The bounding box of A or B, grown by one voxel on each side and clipped to the volume."""
+    both = a | b
+    box = []
+    for axis in range(3):
+        hit = np.flatnonzero(both.any(axis=tuple(i for i in range(3) if i != axis)))
+        box.append(slice(max(int(hit[0]) - 1, 0), int(hit[-1]) + 2))
+    return tuple(box)
 
 
 def hausdorff_mm(a: BinaryMask, b: BinaryMask) -> float:
@@ -54,10 +67,15 @@ def hausdorff_mm(a: BinaryMask, b: BinaryMask) -> float:
 
     max over both directions of the farthest nearest-neighbor distance.
     An empty mask has no surface to measure from, so either side being
-    empty raises instead of returning a sentinel.
+    empty raises instead of returning a sentinel.  Both directions run on
+    the masks' joint bounding box (`_joint_box`), which holds every voxel
+    either direction reads.
     """
     _check_compatible(a, b)
     if a.count == 0 or b.count == 0:
         raise UndefinedDistanceError("Hausdorff distance is undefined for an empty mask")
     sp = np.asarray(a.spacing, dtype=np.float64)
-    return max(_directed_mm(a.data, b.data, sp), _directed_mm(b.data, a.data, sp))
+    box = _joint_box(a.data, b.data)
+    start = np.array([s.start for s in box])
+    ca, cb = a.data[box], b.data[box]
+    return max(_directed_mm(ca, cb, start, sp), _directed_mm(cb, ca, start, sp))

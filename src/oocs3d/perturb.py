@@ -20,7 +20,7 @@ from scipy.ndimage import affine_transform, correlate1d
 from ._strips import for_strips
 from .errors import DomainError
 from .rng import make_rng
-from .tensor import Volume, _check_size
+from .tensor import Volume, _check_size, _seal
 
 
 def rotation_matrix_zyx(angles_deg) -> np.ndarray:
@@ -101,7 +101,7 @@ def gaussian_blur(v: Volume, sigma: float) -> Volume:
         along = 0 if axis == 1 else 1
         for_strips(v.shape[along], filter_rows)
         src = dst
-    return Volume(src, v.spacing)
+    return Volume(_seal(src), v.spacing)
 
 
 def gaussian_noise(v: Volume, sigma: float, seed: int) -> Volume:
@@ -109,7 +109,7 @@ def gaussian_noise(v: Volume, sigma: float, seed: int) -> Volume:
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be positive, got {sigma!r}")
     rng = make_rng(seed)
-    return Volume(v.data + rng.normal(0.0, sigma, size=v.shape), v.spacing)
+    return Volume(_seal(v.data + rng.normal(0.0, sigma, size=v.shape)), v.spacing)
 
 
 def motion_artifact(
@@ -183,4 +183,4 @@ def motion_artifact(
             half[:, rows] += spec[:, rows]
 
     for_strips(v.shape[1], splice_strip)
-    return Volume(np.fft.irfft(half, n=d, axis=0), v.spacing)
+    return Volume(_seal(np.fft.irfft(half, n=d, axis=0)), v.spacing)

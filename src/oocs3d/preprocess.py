@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError, NormalizationError, ResampleError
-from .tensor import BinaryMask, Volume, _check_size, _check_spacing
+from .tensor import BinaryMask, Volume, _check_size, _check_spacing, _seal
 
 
 def _order(obj) -> int:
@@ -49,7 +49,7 @@ def _resample(obj, target_spacing):
         out = np.take(out, i0, axis=axis)
         out *= 1.0 - f
         out += hi
-    return type(obj)(out, ts)
+    return type(obj)(_seal(out), ts)
 
 
 def resample(v: Volume, target_spacing) -> Volume:
@@ -76,7 +76,7 @@ def zscore(v: Volume) -> Volume:
         raise NormalizationError(f"volume mean or deviation overflows float64: mean={mean!r}, std={std!r}")
     if std <= 1e-12 * max(1.0, abs(mean)):
         raise NormalizationError(f"volume has (near-)zero variance: std={std!r}")
-    return Volume((v.data - mean) / std, v.spacing)
+    return Volume(_seal((v.data - mean) / std), v.spacing)
 
 
 def _crop_pad_indices(n: int, t: int) -> tuple[slice, tuple[int, int]]:
@@ -94,7 +94,7 @@ def _crop_or_pad(obj, target_shape):
         raise DomainError(f"target shape must be three positive integers, got {target_shape!r}")
     _check_size(t, "crop/pad target")
     slices, pads = zip(*(_crop_pad_indices(n, ti) for n, ti in zip(obj.shape, t)))
-    return type(obj)(np.pad(obj.data[tuple(slices)], pads), obj.spacing)
+    return type(obj)(_seal(np.pad(obj.data[tuple(slices)], pads)), obj.spacing)
 
 
 def crop_or_pad(v: Volume, target_shape) -> Volume:

@@ -24,13 +24,20 @@ Conventions, fixed once for the whole package:
   choice, which may depend on the product's shape, so another thread
   count, BLAS build or strip size may change the last bits (the tests
   check that 1 and 2 threads agree byte for byte).  The weight gradient
-  adds one partial sum per output slice, in window order and slice
-  order within a window, so the split sets its order of partial sums
-  too.  Negating the weights negates every partial sum, so an Off
-  response is bit-exactly minus its On response.
+  is accumulated transposed, as (taps, C_out): one partial sum per
+  output slice, each the slice's columns times its output gradient, in
+  window order and slice order within a window, so the split sets its
+  order of partial sums too.  Negating the weights negates every partial
+  sum, so an Off response is bit-exactly minus its On response.
 
-Containers freeze their buffers after validation; instances are safe to
-share across threads, and every operation returns fresh arrays.
+Container buffers are read-only after validation, so instances are safe
+to share across threads.  A container shares a buffer that no one can
+write (another container's, a view of one, or an array the library has
+just built and sealed with `_seal`) and copies anything else, so a
+caller's writable array is never shared; see `_frozen`.  Operations
+never write into their inputs, and every computed result is a fresh
+buffer; `FeatureMap.from_volume` and `to_volume` are views of their
+source's buffer.
 """
 
 from __future__ import annotations
@@ -73,15 +80,49 @@ def _check_spacing(spacing) -> tuple[float, float, float]:
     return sp
 
 
+def _seal(arr: np.ndarray) -> np.ndarray:
+    """Make `arr`, an array the caller has just built and holds alone, read-only; return it.
+
+    A container takes a sealed array without copying it (see `_frozen`),
+    so nothing may write to `arr` afterwards.
+    """
+    arr.setflags(write=False)
+    return arr
+
+
+def _unwritable(arr) -> bool:
+    """True when `arr` is a C-ordered float64 ndarray that no one can write through.
+
+    Every array on its `.base` chain must be read-only, and the chain must
+    end in an ndarray that owns its data: a writable base, a foreign
+    buffer (bytes, mmap) or a subclass fails.
+    """
+    if type(arr) is not np.ndarray or arr.dtype != np.float64 or not arr.flags.c_contiguous:
+        return False
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
+
+
 def _frozen(data, ndim: int, what: str, check_finite: bool = True) -> np.ndarray:
-    """A read-only C-ordered float64 copy of `data`: rank `ndim`, no empty axis, finite values."""
-    arr = np.array(data, dtype=np.float64, order="C")
+    """A read-only C-ordered float64 buffer of `data`: rank `ndim`, no empty axis, finite values.
+
+    An array no one can write (`_unwritable`: another container's buffer,
+    a view of one, or a result the library has just sealed) is taken as
+    is; anything else, a caller's writable array or a read-only view of a
+    writable base included, is copied, so no caller can change a
+    container after the fact.  Both paths are validated alike.
+    """
+    arr = data if _unwritable(data) else np.array(data, dtype=np.float64, order="C")
     if arr.ndim != ndim or min(arr.shape) < 1:
         raise DimensionError(f"{what} must be non-empty {ndim}D, got shape {arr.shape}")
     if check_finite and not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} contains non-finite values")
-    arr.setflags(write=False)
-    return arr
+    return _seal(arr)
 
 
 class Volume:
@@ -321,7 +362,7 @@ def conv3d_forward(x: FeatureMap, w: ConvWeights, padding: str = PAD_SAME) -> Fe
     out = _correlate(_pad(x.data, (m,) * 3), w.data, out_shape)
     if w.bias is not None:
         out += w.bias[:, None, None, None]
-    return FeatureMap(out)
+    return FeatureMap(_seal(out))
 
 
 def conv3d_backward(
@@ -339,14 +380,16 @@ def conv3d_backward(
         )
     go = grad_out.data
     k = w.k
-    grad_w = np.zeros((w.c_out, w.c_in * k ** 3))
+    # grad_w transposed, (taps, C_out): each product is columns times the
+    # window's output gradient made contiguous, a plain NN product
+    grad_wt = np.zeros((w.c_in * k ** 3, w.c_out))
     for zs, ys, cols in _windows(_pad(x.data, (m,) * 3), k, out_shape):
-        for part in _window(go, zs, ys) @ cols.transpose(0, 2, 1):
-            grad_w += part
-    grad_w = grad_w.reshape(w.c_out, k, w.c_in, k, k).transpose(0, 2, 1, 3, 4)
+        for part in cols @ np.ascontiguousarray(_window(go, zs, ys).transpose(0, 2, 1)):
+            grad_wt += part
+    grad_w = grad_wt.T.reshape(w.c_out, k, w.c_in, k, k).transpose(0, 2, 1, 3, 4)
     # grad_input is the full correlation of grad_out with the flipped,
     # channel-transposed kernel: pad so every input voxel sees all k^3 taps
     w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
     grad_x = _correlate(_pad(go, (k - 1 - m,) * 3), w_adj, x.data.shape[1:])
     grad_bias = go.sum(axis=(1, 2, 3)) if w.bias is not None else None
-    return FeatureMap(grad_x), ConvWeights(grad_w, grad_bias)
+    return FeatureMap(_seal(grad_x)), ConvWeights(grad_w, grad_bias)

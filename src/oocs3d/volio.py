@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, CorruptFileError, RangeError, UnsupportedFormatError
-from .tensor import BinaryMask, Volume, _zero_one
+from .tensor import BinaryMask, Volume, _seal, _zero_one
 
 # element type -> (little-endian dtype, integer range or None)
 _ELEMENT_TYPES = {
@@ -272,4 +272,4 @@ def _load_payload(payload: bytes, dtype: np.dtype, shape, spacing, mask, path: s
     values = arr.astype(np.float64)
     if not np.isfinite(values).all():
         warnings.warn(f"volume read from {path!r} contains non-finite values")
-    return Volume(values, spacing, check_finite=False)  # checked just above
+    return Volume(_seal(values), spacing, check_finite=False)  # checked just above

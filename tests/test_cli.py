@@ -28,7 +28,7 @@ from oracles import naive_conv3d
 # Prints a digest of one block forward and backward pass at the thread
 # count given as argv[1], pinned the same way `--threads` pins it.  The
 # input's 40 x 36 slices are wide enough that the engine splits every
-# 4-channel conv into row tiles, so the weight gradients sum over them.
+# 4-channel conv into row strips, so the weight gradients sum over them.
 _DIGEST_SHAPE = (4, 6, 40, 36)
 _BLOCK_DIGEST = f"""
 import hashlib, sys

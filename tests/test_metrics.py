@@ -172,6 +172,20 @@ class TestHausdorff:
             got = hausdorff_mm(_mask(a, spacing), _mask(b, spacing))
             assert got == brute_hausdorff_mm(a, b, spacing)
 
+    def test_masks_away_from_the_origin(self):
+        # the joint bounding box starts at (5, 3, 6), so the cropped
+        # indices must get that start back before they are scaled
+        spacing = (1.3, 0.7, 2.1)
+        rng = np.random.default_rng(97)
+        for _ in range(10):
+            a = np.zeros((14, 12, 15), dtype=bool)
+            b = np.zeros_like(a)
+            a[5:10, 4:9, 7:12] = rng.random((5, 5, 5)) < 0.5
+            b[6:12, 3:8, 6:11] = rng.random((6, 5, 5)) < 0.5
+            a[5, 4, 7] = b[6, 3, 6] = True
+            got = hausdorff_mm(_mask(a, spacing), _mask(b, spacing))
+            assert got == brute_hausdorff_mm(a, b, spacing)
+
     def test_empty_mask_rejected(self):
         e = _mask(np.zeros((2, 2, 2), dtype=bool))
         f = np.zeros((2, 2, 2), dtype=bool)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from oocs3d import tensor
+from oocs3d.block import LEARNABLE, OocsBlockConfig, block_backward, block_forward, init_block_params
 from oocs3d.errors import CorruptFileError, DimensionError, DomainError, InvalidKernelError
-from oocs3d.losses import PredictionPair
+from oocs3d.losses import PredictionPair, bce_dice_loss
+from oocs3d.perturb import gaussian_blur, gaussian_noise, motion_artifact
+from oocs3d.preprocess import crop_or_pad, resample, zscore
 from oocs3d.tensor import (
     PAD_SAME,
     PAD_VALID,
@@ -176,6 +179,69 @@ class TestContainerValidation:
             bad.flat[-1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[case]
         with pytest.raises(error):
             build(bad)
+
+
+_BUILDS = [
+    pytest.param(Volume, (2, 3, 4), id="volume"),
+    pytest.param(FeatureMap, (2, 3, 4, 5), id="feature_map"),
+    pytest.param(ConvWeights, (2, 1, 3, 3, 3), id="weights"),
+]
+
+
+class TestSharingRule:
+    """Containers share a buffer that no one can write and copy anything else."""
+
+    @pytest.mark.parametrize("build, shape", _BUILDS)
+    def test_writable_source_is_copied(self, build, shape):
+        src = np.arange(float(np.prod(shape))).reshape(shape)
+        c = build(src)
+        assert not np.shares_memory(c.data, src)
+        src[...] = -1.0
+        assert c.data.flat[1] == 1.0
+
+    @pytest.mark.parametrize("build, shape", _BUILDS)
+    def test_read_only_view_of_writable_base_is_copied(self, build, shape):
+        base = np.ones(shape)
+        view = base[...]
+        view.setflags(write=False)
+        assert not np.shares_memory(build(view).data, base)
+        # a read-only array over a foreign buffer is copied too
+        raw = np.frombuffer(np.ones(shape).tobytes()).reshape(shape)
+        assert not raw.flags.writeable
+        assert not np.shares_memory(build(raw).data, raw)
+
+    @pytest.mark.parametrize("build, shape", _BUILDS)
+    def test_another_containers_buffer_is_shared(self, build, shape):
+        first = build(np.ones(shape))
+        second = build(first.data)
+        assert np.shares_memory(second.data, first.data)
+        assert not second.data.flags.writeable
+        sealed = tensor._seal(np.ones(shape))
+        assert build(sealed).data is sealed
+
+    @pytest.mark.parametrize("build, shape", _BUILDS)
+    @pytest.mark.parametrize("case, error", [
+        ("nan", DomainError),
+        ("+inf", DomainError),
+        ("-inf", DomainError),
+        ("wrong_rank", DimensionError),
+    ])
+    def test_shared_path_still_validates(self, build, shape, case, error):
+        if case == "wrong_rank":
+            bad = np.ones(shape + (1,))
+        else:
+            bad = np.ones(shape)
+            bad.flat[-1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[case]
+        tensor._seal(bad)
+        assert tensor._unwritable(bad)
+        with pytest.raises(error):
+            build(bad)
+
+    def test_volume_and_feature_map_convert_without_a_copy(self):
+        v = Volume(np.arange(8.0).reshape(2, 2, 2))
+        fm = FeatureMap.from_volume(v)
+        assert np.shares_memory(fm.data, v.data)
+        assert np.shares_memory(fm.to_volume().data, v.data)
 
 
 class TestOutputShape:
@@ -621,7 +687,7 @@ class TestWindowCarry:
 
 
 class TestInputsUntouched:
-    """The engine neither writes into nor returns views of its inputs."""
+    """The library neither writes into nor returns views of its inputs."""
 
     @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
     @pytest.mark.parametrize("k", [1, 3])
@@ -639,4 +705,28 @@ class TestInputsUntouched:
             assert np.array_equal(a, b)
             assert not a.flags.writeable
         for out in (y.data, gx.data, gw.data, gw.bias):
+            assert not any(np.shares_memory(out, a) for a in inputs)
+
+    def test_library_outputs_are_read_only_and_unshared(self):
+        # each output is a fresh sealed buffer: read-only, and apart from
+        # the caller's writable sources and the input containers built on them
+        rng = np.random.default_rng(71)
+        cfg = OocsBlockConfig(c_in=2, c_out=4)
+        params = init_block_params(cfg, 3)
+        xs = rng.normal(size=(2, 5, 6, 7))
+        gs = rng.normal(size=(4, 5, 6, 7))
+        vs = rng.normal(size=(6, 5, 7))
+        ts = (rng.random((5, 6, 7)) < 0.5).astype(float)
+        x, g, v = FeatureMap(xs), FeatureMap(gs), Volume(vs, (1.0, 1.5, 0.5))
+        y, cache = block_forward(x, params, cfg)
+        gx, grads = block_backward(g, cache, params, cfg)
+        _, g_logits = bce_dice_loss(PredictionPair(FeatureMap(xs[:1]), ts))
+        outs = [y.data, gx.data, g_logits.data]
+        outs += [a for name in LEARNABLE for a in (getattr(grads, name).data, getattr(grads, name).bias)]
+        outs += [gaussian_blur(v, 1.0).data, gaussian_noise(v, 0.5, 1).data,
+                 motion_artifact(v, 1, seed=2).data, zscore(v).data,
+                 resample(v, (1.0, 1.0, 1.0)).data, crop_or_pad(v, v.shape).data]
+        inputs = [xs, gs, vs, ts, x.data, g.data, v.data]
+        for out in outs:
+            assert not out.flags.writeable
             assert not any(np.shares_memory(out, a) for a in inputs)
