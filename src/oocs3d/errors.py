@@ -9,7 +9,7 @@ Each class carries the CLI exit code it ends in, as `exit_code`:
        allocation below tensor.MAX_ELEMENTS the machine cannot serve)
     4  data-dependent numeric failures: DegenerateKernelError,
        NormalizationError, ResampleError, UndefinedDistanceError,
-       NonFiniteError, RangeError
+       NonFiniteError
 """
 
 
@@ -77,9 +77,3 @@ class UnsupportedFormatError(VolumeIoError):
 
 class CorruptFileError(VolumeIoError):
     """Header and payload disagree, or the payload is unreadable."""
-
-
-class RangeError(VolumeIoError):
-    """Values do not fit the requested on-disk element type."""
-
-    exit_code = 4

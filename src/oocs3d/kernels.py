@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateKernelError, DomainError, InvalidKernelError
-from .tensor import _check_size
+from .tensor import _check_size, _seal
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,9 @@ class BalancedKernel:
     """
 
     def __init__(self, spec: KernelSpec, derivation: KernelDerivation, weights, polarity: str):
-        arr = np.array(weights, dtype=np.float64, order="C")
-        arr.setflags(write=False)
         self.spec = spec
         self.derivation = derivation
-        self.weights = arr
+        self.weights = _seal(np.array(weights, dtype=np.float64, order="C"))
         self.polarity = polarity
 
     def __repr__(self) -> str:
@@ -251,31 +249,6 @@ def kernel_to_json(kern: BalancedKernel) -> str:
         "weights": kern.weights.tolist(),
     }
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def kernel_from_json(text: str) -> BalancedKernel:
-    """Parse `kernel_to_json` output back into the kernel its spec and polarity build.
-
-    Malformed JSON or fields raise ConfigError, and so do weights or a
-    derivation that differ in any value from the rebuilt kernel's: a
-    document cannot load as a kernel `make_kernel` would not build.
-    """
-    try:
-        doc = json.loads(text)
-        spec = KernelSpec(**doc["spec"])
-        derivation = KernelDerivation(**doc["derivation"])
-        weights = np.array(doc["weights"], dtype=np.float64)
-        polarity = doc["polarity"]
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"malformed kernel JSON: {exc}") from exc
-    # the shape is checked first, so a small document cannot make a large kernel build
-    shape = (spec.k,) * spec.dims
-    if weights.shape != shape:
-        raise ConfigError(f"kernel JSON weights have shape {weights.shape}, its spec needs {shape}")
-    kern = make_kernel(spec, polarity)
-    if derivation != kern.derivation or not np.array_equal(weights, kern.weights):
-        raise ConfigError("kernel JSON weights or derivation differ from the kernel its spec builds")
-    return kern
 
 
 def kernel_to_csv(kern: BalancedKernel) -> str:

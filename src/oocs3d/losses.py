@@ -5,8 +5,8 @@ Binary cross-entropy uses the overflow-free form
     bce(z, t) = max(z, 0) - z * t + log(1 + exp(-|z|))
 
 averaged over voxels; soft Dice runs on sigmoid probabilities with an
-additive smoothing epsilon in both numerator and denominator.  Gradients
-are analytic, with respect to the logits.
+additive smoothing term `_DICE_EPS` in both numerator and denominator.
+Gradients are analytic, with respect to the logits.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .tensor import FeatureMap, _seal, _zero_one
+
+_DICE_EPS = 1.0
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,6 @@ class PredictionPair:
 
     logits: FeatureMap
     target: np.ndarray
-    epsilon: float = 1.0
 
     def __post_init__(self):
         if self.logits.channels != 1:
@@ -38,11 +39,7 @@ class PredictionPair:
             )
         if not _zero_one(raw):
             raise DomainError("target values must be exactly 0 or 1")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise DomainError(f"epsilon must be positive, got {self.epsilon!r}")
-        t = raw.astype(np.float64)
-        t.setflags(write=False)
-        object.__setattr__(self, "target", t)
+        object.__setattr__(self, "target", _seal(raw.astype(np.float64)))
 
 
 def bce_loss(pair: PredictionPair) -> tuple[float, FeatureMap]:
@@ -60,7 +57,7 @@ def soft_dice_loss(pair: PredictionPair) -> tuple[float, FeatureMap]:
     z = pair.logits.data[0]
     t = pair.target
     s = expit(z)
-    eps = pair.epsilon
+    eps = _DICE_EPS
     inter = float((s * t).sum())
     total = float(s.sum() + t.sum())
     loss = 1.0 - (2.0 * inter + eps) / (total + eps)
@@ -70,17 +67,8 @@ def soft_dice_loss(pair: PredictionPair) -> tuple[float, FeatureMap]:
     return loss, FeatureMap(_seal(grad)[None])
 
 
-def bce_dice_loss(
-    pair: PredictionPair, w_bce: float = 1.0, w_dice: float = 1.0
-) -> tuple[float, FeatureMap]:
-    """Weighted sum of the two losses; gradients combine with the same weights."""
-    for name, w in (("w_bce", w_bce), ("w_dice", w_dice)):
-        if not (np.isfinite(w) and w >= 0.0):
-            raise DomainError(f"{name} must be finite and >= 0, got {w!r}")
-    if w_bce == 0.0 and w_dice == 0.0:
-        raise ConfigError("at least one loss weight must be nonzero")
+def bce_dice_loss(pair: PredictionPair) -> tuple[float, FeatureMap]:
+    """Sum of the two losses; the gradient is the sum of theirs."""
     l_bce, g_bce = bce_loss(pair)
     l_dice, g_dice = soft_dice_loss(pair)
-    loss = w_bce * l_bce + w_dice * l_dice
-    grad = w_bce * g_bce.data + w_dice * g_dice.data
-    return loss, FeatureMap(_seal(grad))
+    return l_bce + l_dice, FeatureMap(_seal(g_bce.data + g_dice.data))

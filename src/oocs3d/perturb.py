@@ -157,6 +157,8 @@ def motion_artifact(
         raise DomainError(
             f"motion amplitude bounds must be finite and >= 0, got {max_rot_deg!r}, {max_trans_mm!r}"
         )
+    # -0.0 passes the check, but uniform(0.0, -0.0) refuses its bounds
+    max_rot_deg, max_trans_mm = abs(max_rot_deg), abs(max_trans_mm)
     d = v.shape[0]
     rng = make_rng(seed)
     maps = []

@@ -8,7 +8,11 @@ state.
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Return a fresh Philox-backed generator for `seed`."""
+    """Return a fresh Philox-backed generator for `seed`, which must be >= 0."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))

@@ -171,9 +171,7 @@ class BinaryMask:
             b = arr != 0
         else:
             raise DomainError("mask values must be exactly 0 or 1")
-        b = np.ascontiguousarray(b)
-        b.setflags(write=False)
-        self.data = b
+        self.data = _seal(np.ascontiguousarray(b))
         self.spacing = _check_spacing(spacing)
 
     @property

@@ -6,9 +6,11 @@ both tuples reverse at the boundary.  Payloads are little-endian binary,
 either inline (ElementDataFile = LOCAL, the only form written) or in a
 sibling file named by the header.  A payload name must be a bare file
 name in the header's own directory: absolute names, names with a path
-separator, and `.`/`..` are rejected as corrupt.  MET_UCHAR payloads
-whose values are all 0 or 1 load as masks; everything else loads as an
-image volume.
+separator, and `.`/`..` are rejected as corrupt.  The reader takes
+MET_UCHAR, MET_SHORT, MET_FLOAT and MET_DOUBLE payloads: MET_UCHAR
+payloads whose values are all 0 or 1 load as masks, everything else
+loads as an image volume.  The writer emits MET_DOUBLE images and
+MET_UCHAR masks.
 
 Written headers have a fixed key order and shortest-round-trip float
 formatting, so writing the same object twice yields identical bytes.
@@ -24,15 +26,15 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, CorruptFileError, RangeError, UnsupportedFormatError
+from .errors import ConfigError, CorruptFileError, UnsupportedFormatError
 from .tensor import BinaryMask, Volume, _seal, _zero_one
 
-# element type -> (little-endian dtype, integer range or None)
+# element type -> little-endian dtype; all four read, MET_DOUBLE and MET_UCHAR written
 _ELEMENT_TYPES = {
-    "MET_UCHAR": (np.dtype("u1"), (0, 255)),
-    "MET_SHORT": (np.dtype("<i2"), (-32768, 32767)),
-    "MET_FLOAT": (np.dtype("<f4"), None),
-    "MET_DOUBLE": (np.dtype("<f8"), None),
+    "MET_UCHAR": np.dtype("u1"),
+    "MET_SHORT": np.dtype("<i2"),
+    "MET_FLOAT": np.dtype("<f4"),
+    "MET_DOUBLE": np.dtype("<f8"),
 }
 
 # element type -> the raw sidecar's (kind, dtype)
@@ -51,37 +53,18 @@ def _parse_bool(key: str, value: str) -> bool:
     raise CorruptFileError(f"header key {key} has non-boolean value {value!r}")
 
 
-def _encode(obj, element_type: str | None = None) -> tuple[str, np.ndarray]:
+def _encode(obj) -> tuple[str, np.ndarray]:
     """(element type, little-endian payload) of a Volume or BinaryMask, as `write_mha` describes."""
     if isinstance(obj, BinaryMask):
-        if element_type not in (None, "MET_UCHAR"):
-            raise ConfigError(f"masks are always written as MET_UCHAR, got {element_type!r}")
         return "MET_UCHAR", obj.data.astype("u1")
     if not isinstance(obj, Volume):
         raise ConfigError(f"expected a Volume or BinaryMask to write, got {type(obj).__name__}")
-    element_type = "MET_DOUBLE" if element_type is None else element_type
-    if element_type not in _ELEMENT_TYPES:
-        raise UnsupportedFormatError(f"unsupported element type {element_type!r}")
-    dtype, int_range = _ELEMENT_TYPES[element_type]
-    values = obj.data
-    if int_range is not None:
-        values = np.rint(values)
-        lo, hi = int_range
-        if values.min() < lo or values.max() > hi:
-            raise RangeError(f"volume values fall outside the {element_type} range [{lo}, {hi}]")
-    elif element_type == "MET_FLOAT" and np.abs(values).max() > float(np.finfo(np.float32).max):
-        raise RangeError("volume magnitudes exceed the MET_FLOAT range")
-    return element_type, values.astype(dtype)
+    return "MET_DOUBLE", obj.data.astype("<f8", copy=False)
 
 
-def write_mha(obj, path: str, element_type: str | None = None) -> None:
-    """Write a Volume or BinaryMask as a single-file MetaImage.
-
-    Volumes default to MET_DOUBLE; integer and MET_FLOAT targets are
-    range-checked (integers round to nearest first).  Masks are always
-    MET_UCHAR.
-    """
-    element_type, payload = _encode(obj, element_type)
+def write_mha(obj, path: str) -> None:
+    """Write a Volume as a MET_DOUBLE, or a BinaryMask as a MET_UCHAR, single-file MetaImage."""
+    element_type, payload = _encode(obj)
     d, h, w = obj.shape
     sz, sy, sx = obj.spacing
     header = (
@@ -96,7 +79,7 @@ def write_mha(obj, path: str, element_type: str | None = None) -> None:
     )
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(np.ascontiguousarray(payload).tobytes())
+        f.write(payload.tobytes())
 
 
 _KNOWN_OK = {
@@ -186,7 +169,7 @@ def read_mha(path: str):
     element_type = fields["ElementType"]
     if element_type not in _ELEMENT_TYPES:
         raise UnsupportedFormatError(f"unsupported element type {element_type!r}")
-    dtype = _ELEMENT_TYPES[element_type][0]
+    dtype = _ELEMENT_TYPES[element_type]
 
     if inline is None:
         with open(_sibling(path, fields["ElementDataFile"], "ElementDataFile"), "rb") as f:
@@ -216,7 +199,7 @@ def write_raw_json(obj, json_path: str) -> None:
         json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
     with open(raw_path, "wb") as f:
-        f.write(np.ascontiguousarray(payload).tobytes())
+        f.write(payload.tobytes())
 
 
 def read_raw_json(json_path: str):

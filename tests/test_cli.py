@@ -17,7 +17,7 @@ import pytest
 from oocs3d import _strips, errors, perturb, tensor
 from oocs3d._strips import STRIP_ROWS
 from oocs3d.cli import main
-from oocs3d.kernels import KernelSpec, make_kernel, kernel_from_json
+from oocs3d.kernels import KernelDerivation, KernelSpec, make_kernel
 from oocs3d.perturb import gaussian_blur, gaussian_noise, motion_artifact
 from oocs3d.tensor import BinaryMask, ConvWeights, FeatureMap, Volume, conv3d_forward
 from oocs3d.volio import read_mha, read_raw_json, write_mha, write_raw_json
@@ -139,12 +139,12 @@ class TestKernelCommand:
     def test_defaults_and_json_reparse(self, capsys):
         rc, out, _ = _run(capsys, "kernel", "--k", "3")
         assert rc == 0
-        kern = kernel_from_json(out)
-        assert kern.spec == KernelSpec(k=3, gamma=2.0 / 3.0, c=3.0, dims=3)
-        assert kern.polarity == "on"
-        np.testing.assert_array_equal(
-            kern.weights, make_kernel(KernelSpec(k=3)).weights
-        )
+        doc = json.loads(out)
+        want = make_kernel(KernelSpec(k=3))
+        assert KernelSpec(**doc["spec"]) == KernelSpec(k=3, gamma=2.0 / 3.0, c=3.0, dims=3)
+        assert doc["polarity"] == "on"
+        np.testing.assert_array_equal(np.array(doc["weights"]), want.weights)
+        assert KernelDerivation(**doc["derivation"]) == want.derivation
 
     def test_even_k_is_usage_error(self, capsys):
         rc, out, err = _run(capsys, "kernel", "--k", "4")
@@ -169,9 +169,10 @@ class TestKernelCommand:
     def test_off_polarity(self, capsys):
         rc, out, _ = _run(capsys, "kernel", "--k", "3", "--polarity", "off")
         assert rc == 0
-        kern = kernel_from_json(out)
+        doc = json.loads(out)
+        assert doc["polarity"] == "off"
         np.testing.assert_array_equal(
-            kern.weights, -make_kernel(KernelSpec(k=3)).weights
+            np.array(doc["weights"]), -make_kernel(KernelSpec(k=3)).weights
         )
 
 
@@ -430,6 +431,19 @@ class TestPerturbCommand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--max-rot", "--max-trans"])
+    def test_negative_zero_motion_bound_acts_as_zero(self, flag, capsys, tmp_path):
+        # -0.0 passes the >= 0 check and must draw exactly as 0.0 does
+        src = tmp_path / "in.mha"
+        write_mha(Volume(np.random.default_rng(271).normal(size=(6, 5, 4))), str(src))
+        outs = {}
+        for value in ("-0.0", "0.0"):
+            outs[value] = tmp_path / f"o{value}.mha"
+            rc, _, err = _run(capsys, "perturb", "--in", str(src), "--out", str(outs[value]),
+                              "--kind", "motion", flag, value)
+            assert rc == 0, err
+        assert outs["-0.0"].read_bytes() == outs["0.0"].read_bytes()
+
     def test_unknown_kind_is_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["perturb", "--in", "x.mha", "--out", "y.mha", "--kind", "shear"])
@@ -645,6 +659,21 @@ class TestSizeLimit:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--seeds", "1", "--n-dirs", "1", "--spatial", "5", "5", "5"],
+        ["perturb", "--kind", "gaussian_noise"],
+        ["perturb", "--kind", "motion"],
+    ], ids=["gradcheck", "noise", "motion"])
+    def test_negative_seed_is_usage_error(self, argv, capsys, caplog, tmp_path):
+        if argv[0] == "perturb":
+            write_mha(Volume(np.ones((4, 4, 4))), str(tmp_path / "in.mha"))
+            argv = argv + ["--in", str(tmp_path / "in.mha"), "--out", str(tmp_path / "o.mha")]
+        rc, out, err = _run(capsys, "--seed", "-1", *argv)
+        assert rc == 2
+        assert out == "" and "Traceback" not in err
+        assert "seed must be >= 0" in caplog.text
+        assert not (tmp_path / "o.mha").exists()
+
     def test_missing_input_file_is_io_error(self, capsys, tmp_path):
         rc, _, _ = _run(capsys, "filter", "--in", str(tmp_path / "nope.mha"),
                         "--out-on", str(tmp_path / "a.mha"),

@@ -15,11 +15,11 @@ from oocs3d.errors import (
     InvalidKernelError,
 )
 from oocs3d.kernels import (
+    KernelDerivation,
     KernelSpec,
     balance,
     compute_sigma,
     continuous_balance_check,
-    kernel_from_json,
     kernel_to_csv,
     kernel_to_json,
     make_kernel,
@@ -257,63 +257,20 @@ class TestContinuousBalance:
             continuous_balance_check(KernelSpec(k=3), 32)
 
 
-def _center_up_one_ulp(doc):
-    row = doc["weights"][2][2]
-    row[2] = float(np.nextafter(row[2], np.inf))
-
-
 class TestSerialization:
     def test_json_round_trip_bitwise(self):
         kern = make_kernel(KernelSpec(k=5, gamma=0.75, c=1.0), polarity="off")
-        blob = kernel_to_json(kern)
-        back = kernel_from_json(blob)
-        assert back.spec == kern.spec
-        assert back.polarity == kern.polarity
-        np.testing.assert_array_equal(back.weights, kern.weights)
-        assert back.derivation == kern.derivation
+        doc = json.loads(kernel_to_json(kern))
+        assert KernelSpec(**doc["spec"]) == kern.spec
+        assert doc["polarity"] == kern.polarity
+        np.testing.assert_array_equal(np.array(doc["weights"]), kern.weights)
+        assert KernelDerivation(**doc["derivation"]) == kern.derivation
 
     def test_json_is_stable_text(self):
         kern = make_kernel(KernelSpec(k=3))
         assert kernel_to_json(kern) == kernel_to_json(kern)
         doc = json.loads(kernel_to_json(kern))
         assert doc["spec"]["k"] == 3
-
-    def test_malformed_json_rejected(self):
-        with pytest.raises(ConfigError):
-            kernel_from_json("{not json")
-        with pytest.raises(ConfigError):
-            kernel_from_json(json.dumps({"spec": {"k": 3}}))
-
-    def test_deeply_nested_json_rejected(self):
-        with pytest.raises(ConfigError):
-            kernel_from_json("[" * 100_000 + "]" * 100_000)
-
-    def test_non_numeric_weights_rejected(self):
-        doc = json.loads(kernel_to_json(make_kernel(KernelSpec(k=3))))
-        doc["weights"] = [[["a"]]]
-        with pytest.raises(ConfigError):
-            kernel_from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("edit", [
-        lambda doc: doc.update(weights=np.zeros((5, 5, 5)).tolist()),
-        _center_up_one_ulp,
-        lambda doc: doc["derivation"].update(sigma=123.0),
-        lambda doc: doc.update(polarity="on"),
-        lambda doc: doc.update(weights=np.array(doc["weights"])[1:-1, 1:-1, 1:-1].tolist()),
-    ], ids=["zero-weights", "center-up-one-ulp", "sigma-changed", "polarity-swapped", "shape-changed"])
-    def test_document_the_spec_does_not_build_is_rejected(self, edit):
-        # a kernel loads only as make_kernel builds it from its spec and polarity
-        doc = json.loads(kernel_to_json(make_kernel(KernelSpec(k=5, gamma=0.75, c=1.0), polarity="off")))
-        edit(doc)
-        with pytest.raises(ConfigError):
-            kernel_from_json(json.dumps(doc))
-
-    def test_document_for_a_large_kernel_is_refused_before_building_it(self, monkeypatch):
-        doc = json.loads(kernel_to_json(make_kernel(KernelSpec(k=3))))
-        doc["spec"]["k"] = 1001
-        monkeypatch.setattr("oocs3d.kernels.sample_dog", None)  # any build attempt would raise TypeError
-        with pytest.raises(ConfigError, match="shape"):
-            kernel_from_json(json.dumps(doc))
 
     def test_csv_shape_and_center_row(self):
         kern = make_kernel(KernelSpec(k=3))

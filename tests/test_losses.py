@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from oocs3d.errors import ConfigError, DimensionError, DomainError
+from oocs3d.errors import DimensionError, DomainError
 from oocs3d.losses import PredictionPair, bce_dice_loss, bce_loss, soft_dice_loss
 from oocs3d.tensor import FeatureMap
 
 from oracles import central_difference, max_rel_err
 
 
-def _pair(rng, shape=(3, 3, 3), eps=1.0):
+def _pair(rng, shape=(3, 3, 3)):
     logits = FeatureMap(rng.normal(size=(1,) + shape))
     target = (rng.random(size=shape) < 0.5).astype(np.float64)
-    return PredictionPair(logits, target, epsilon=eps)
+    return PredictionPair(logits, target)
 
 
 def _naive_bce(logits, target):
@@ -39,10 +39,6 @@ class TestPredictionPair:
             PredictionPair(FeatureMap(np.zeros((1, 3, 3, 3))), np.zeros((3, 3, 2)))
         with pytest.raises(DomainError):
             PredictionPair(FeatureMap(np.zeros((1, 2, 2, 2))), np.full((2, 2, 2), 0.5))
-        with pytest.raises(DomainError):
-            PredictionPair(
-                FeatureMap(np.zeros((1, 2, 2, 2))), np.zeros((2, 2, 2)), epsilon=0.0
-            )
 
 
 class TestBce:
@@ -88,10 +84,10 @@ class TestBce:
 
 class TestSoftDice:
     def test_both_background_with_unit_epsilon(self):
-        # epsilon rescues the empty-empty case toward zero loss
+        # the smoothing term rescues the empty-empty case toward zero loss
         t = np.zeros((3, 3, 3))
         z = FeatureMap(np.full((1, 3, 3, 3), -40.0))
-        loss, _ = soft_dice_loss(PredictionPair(z, t, epsilon=1.0))
+        loss, _ = soft_dice_loss(PredictionPair(z, t))
         assert abs(loss) < 1e-9
 
     def test_confident_perfect_prediction_near_zero(self):
@@ -103,10 +99,10 @@ class TestSoftDice:
 
     def test_matches_per_voxel_oracle(self):
         rng = np.random.default_rng(43)
-        for eps in (1.0, 0.5):
-            pair = _pair(rng, eps=eps)
+        for _ in range(2):
+            pair = _pair(rng)
             loss, _ = soft_dice_loss(pair)
-            want = _naive_dice_loss(pair.logits.data[0], pair.target, eps)
+            want = _naive_dice_loss(pair.logits.data[0], pair.target, 1.0)
             assert abs(loss - want) < 1e-12
 
     def test_loss_bounded(self):
@@ -133,16 +129,13 @@ class TestSoftDice:
 
 class TestCompound:
     def test_component_linearity(self):
-        rng = np.random.default_rng(59)
-        pair = _pair(rng)
+        # the compound is the unit-weight sum of its parts, bit for bit
+        pair = _pair(np.random.default_rng(59))
         lb, gb = bce_loss(pair)
         ld, gd = soft_dice_loss(pair)
-        for wb, wd in [(1.0, 1.0), (0.25, 2.0), (3.0, 0.0)]:
-            lc, gc = bce_dice_loss(pair, w_bce=wb, w_dice=wd)
-            assert abs(lc - (wb * lb + wd * ld)) < 1e-12
-            np.testing.assert_allclose(
-                gc.data, wb * gb.data + wd * gd.data, rtol=0, atol=1e-12
-            )
+        lc, gc = bce_dice_loss(pair)
+        assert lc == lb + ld
+        assert np.array_equal(gc.data, gb.data + gd.data)
 
     def test_gradient_matches_central_difference(self):
         rng = np.random.default_rng(61)
@@ -157,10 +150,3 @@ class TestCompound:
             fd = central_difference(phi, pair.logits.data)
             worst = max(worst, max_rel_err(grad.data, fd))
         assert worst < 1e-6
-
-    def test_weight_validation(self):
-        pair = _pair(np.random.default_rng(0))
-        with pytest.raises(DomainError):
-            bce_dice_loss(pair, w_bce=-1.0)
-        with pytest.raises(ConfigError):
-            bce_dice_loss(pair, w_bce=0.0, w_dice=0.0)

@@ -79,6 +79,15 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             motion_artifact(v, max_rot_deg=-1.0)
 
+    def test_negative_zero_motion_bounds_act_as_zero(self):
+        v = Volume(np.random.default_rng(5).normal(size=(4, 3, 3)))
+        want = motion_artifact(v, 2, 0.0, 0.0, seed=3).data.tobytes()
+        assert motion_artifact(v, 2, -0.0, -0.0, seed=3).data.tobytes() == want
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            make_rng(-1)
+
     @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 1e308])
     @pytest.mark.parametrize("name", ["max_rot_deg", "max_trans_mm"])
     def test_motion_bounds_must_be_finite(self, name, bound):
