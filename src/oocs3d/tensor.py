@@ -158,20 +158,19 @@ class BinaryMask:
     """A 3D boolean grid with physical voxel spacing.
 
     Accepts boolean arrays or numeric arrays whose values pass
-    `_zero_one`; anything else (including NaN) is rejected.
+    `_zero_one`; anything else (including NaN) is rejected.  The stored
+    bytes are exactly 0 and 1, so `data.view(np.uint8)` is the mask's
+    MET_UCHAR payload.
     """
 
     def __init__(self, data, spacing=(1.0, 1.0, 1.0)):
         arr = np.asarray(data)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise DimensionError(f"mask data must be non-empty 3D, got shape {arr.shape}")
-        if arr.dtype == bool:
-            b = arr.copy()
-        elif _zero_one(arr):
-            b = arr != 0
-        else:
+        if arr.dtype != bool and not _zero_one(arr):
             raise DomainError("mask values must be exactly 0 or 1")
-        self.data = _seal(np.ascontiguousarray(b))
+        # a fresh array of 0/1 bytes, even from a bool view of other bytes
+        self.data = _seal(np.ascontiguousarray(arr != 0))
         self.spacing = _check_spacing(spacing)
 
     @property

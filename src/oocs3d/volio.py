@@ -12,6 +12,13 @@ payloads whose values are all 0 or 1 load as masks, everything else
 loads as an image volume.  The writer emits MET_DOUBLE images and
 MET_UCHAR masks.
 
+Each payload is touched once.  The reader checks the payload file's size
+against the size the header implies before it allocates anything, then
+reads the bytes straight into the array a MET_DOUBLE volume keeps; other
+element types make their one conversion copy.  So a payload must be a
+regular file: a named pipe or a device is rejected as corrupt.  The
+writers stream the container's own buffer to the file.
+
 Written headers have a fixed key order and shortest-round-trip float
 formatting, so writing the same object twice yields identical bytes.
 """
@@ -21,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 
@@ -56,7 +64,7 @@ def _parse_bool(key: str, value: str) -> bool:
 def _encode(obj) -> tuple[str, np.ndarray]:
     """(element type, little-endian payload) of a Volume or BinaryMask, as `write_mha` describes."""
     if isinstance(obj, BinaryMask):
-        return "MET_UCHAR", obj.data.astype("u1")
+        return "MET_UCHAR", obj.data.view(np.uint8)  # a mask stores bytes 0 and 1
     if not isinstance(obj, Volume):
         raise ConfigError(f"expected a Volume or BinaryMask to write, got {type(obj).__name__}")
     return "MET_DOUBLE", obj.data.astype("<f8", copy=False)
@@ -79,7 +87,7 @@ def write_mha(obj, path: str) -> None:
     )
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(payload.tobytes())
+        f.write(memoryview(payload))
 
 
 _KNOWN_OK = {
@@ -96,8 +104,8 @@ def _sibling(header_path: str, name, key: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(header_path)), name)
 
 
-def _read_header(f) -> tuple[dict, bytes | None]:
-    """Parse 'Key = Value' lines up to ElementDataFile; return fields + inline payload."""
+def _read_header(f) -> dict:
+    """Parse 'Key = Value' lines up to ElementDataFile; leave `f` at the first payload byte."""
     fields: dict[str, str] = {}
     while True:
         line = f.readline()
@@ -115,8 +123,7 @@ def _read_header(f) -> tuple[dict, bytes | None]:
         key, value = (part.strip() for part in text.split("=", 1))
         fields[key] = value
         if key == "ElementDataFile":
-            inline = f.read() if value == "LOCAL" else None
-            return fields, inline
+            return fields
 
 
 def _three_numbers(fields: dict, key: str, convert) -> tuple:
@@ -135,8 +142,16 @@ def _three_numbers(fields: dict, key: str, convert) -> tuple:
 def read_mha(path: str):
     """Read a MetaImage file; returns a BinaryMask for binary MET_UCHAR, else a Volume."""
     with open(path, "rb") as f:
-        fields, inline = _read_header(f)
+        fields = _read_header(f)
+        layout = _mha_layout(fields)
+        if fields["ElementDataFile"] == "LOCAL":
+            return _load_payload(f, *layout, path)
+    with open(_sibling(path, fields["ElementDataFile"], "ElementDataFile"), "rb") as f:
+        return _load_payload(f, *layout, path)
 
+
+def _mha_layout(fields: dict) -> tuple:
+    """(dtype, shape, spacing, mask) of a checked MetaImage header, as `_load_payload` takes them."""
     for key in fields:
         if key not in _KNOWN_OK and key != "ElementDataFile":
             warnings.warn(f"ignoring unknown MetaImage header key {key!r}")
@@ -169,14 +184,9 @@ def read_mha(path: str):
     element_type = fields["ElementType"]
     if element_type not in _ELEMENT_TYPES:
         raise UnsupportedFormatError(f"unsupported element type {element_type!r}")
-    dtype = _ELEMENT_TYPES[element_type]
-
-    if inline is None:
-        with open(_sibling(path, fields["ElementDataFile"], "ElementDataFile"), "rb") as f:
-            inline = f.read()
-    # disk order is x-fastest, so the flat buffer reshapes directly to (D, H, W)
+    # disk order is x-fastest, so the payload fills a (D, H, W) array directly
     mask = None if element_type == "MET_UCHAR" else False
-    return _load_payload(inline, dtype, (d, h, w), (sz, sy, sx), mask, path)
+    return _ELEMENT_TYPES[element_type], (d, h, w), (sz, sy, sx), mask
 
 
 def write_raw_json(obj, json_path: str) -> None:
@@ -199,7 +209,7 @@ def write_raw_json(obj, json_path: str) -> None:
         json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
     with open(raw_path, "wb") as f:
-        f.write(payload.tobytes())
+        f.write(memoryview(payload))
 
 
 def read_raw_json(json_path: str):
@@ -230,29 +240,36 @@ def read_raw_json(json_path: str):
     if not (isinstance(spacing, list) and len(spacing) == 3
             and all(type(s) in (int, float) and 0 < s <= sys.float_info.max for s in spacing)):
         raise CorruptFileError(f"sidecar spacing must be three positive finite numbers, got {spacing!r}")
-    with open(_sibling(json_path, raw_name, "raw_file"), "rb") as f:
-        payload = f.read()
     np_dtype = np.dtype("<f8") if kind == "image" else np.dtype("u1")
-    return _load_payload(payload, np_dtype, tuple(shape), spacing, kind == "mask", json_path)
+    with open(_sibling(json_path, raw_name, "raw_file"), "rb") as f:
+        return _load_payload(f, np_dtype, tuple(shape), spacing, kind == "mask", json_path)
 
 
-def _load_payload(payload: bytes, dtype: np.dtype, shape, spacing, mask, path: str):
-    """Decode a little-endian payload of `shape` into a BinaryMask or a Volume.
+def _load_payload(f, dtype: np.dtype, shape, spacing, mask, path: str):
+    """Read the little-endian payload of `shape`, `f`'s position to its end, as a BinaryMask or a Volume.
 
     `mask` True requires 0/1 values, None makes 0/1 values a mask and other
     values a volume, False always makes a volume (non-finite values warn).
     """
+    # only a regular file has a size to check before allocating; tell() would fail on a pipe
+    st = os.fstat(f.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise CorruptFileError(f"payload of {path!r} is not a regular file")
     # Python integers: a numpy product of huge header sizes can wrap around
     expected = math.prod(shape) * dtype.itemsize
-    if len(payload) != expected:
-        raise CorruptFileError(f"payload holds {len(payload)} bytes, header implies {expected}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    size = st.st_size - f.tell()
+    if size != expected:
+        raise CorruptFileError(f"payload holds {size} bytes, header implies {expected}")
+    arr = np.empty(shape, dtype)
+    got = f.readinto(arr)
+    if got != expected:  # the file shrank after fstat
+        raise CorruptFileError(f"payload holds {got} bytes, header implies {expected}")
     if mask is not False:
         if _zero_one(arr):
-            return BinaryMask(arr != 0, spacing)
+            return BinaryMask(arr.view(bool), spacing)  # a u1 array of 0s and 1s
         if mask:
             raise CorruptFileError("mask payload contains values other than 0 and 1")
-    values = arr.astype(np.float64)
+    values = arr.astype(np.float64, copy=False)  # a MET_DOUBLE array is taken as read
     if not np.isfinite(values).all():
         warnings.warn(f"volume read from {path!r} contains non-finite values")
     return Volume(_seal(values), spacing, check_finite=False)  # checked just above

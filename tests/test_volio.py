@@ -1,7 +1,12 @@
 """MetaImage subset and raw+JSON sidecar readers/writers."""
 
+import gc
 import json
+import os
 import struct
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,7 +136,8 @@ class TestMhaHandFixture:
         np.testing.assert_array_equal(back.data.ravel(), [1.0, 2.0, 3.0])
 
 
-def _write_header_and_payload(path, payload, **overrides):
+def _write_header_and_payload(path, payload, data_file="LOCAL", **overrides):
+    """Write a MetaImage header with `payload` inline, or in sibling file `data_file`."""
     fields = {
         "ObjectType": "Image",
         "NDims": "3",
@@ -143,10 +149,14 @@ def _write_header_and_payload(path, payload, **overrides):
     }
     fields.update(overrides)
     lines = "".join(f"{k} = {v}\n" for k, v in fields.items())
-    lines += "ElementDataFile = LOCAL\n"
+    lines += f"ElementDataFile = {data_file}\n"
     with open(path, "wb") as f:
         f.write(lines.encode("ascii"))
-        f.write(payload)
+        if data_file == "LOCAL":
+            f.write(payload)
+    if data_file != "LOCAL":
+        with open(os.path.join(os.path.dirname(path), data_file), "wb") as f:
+            f.write(payload)
 
 
 class TestMhaErrorPaths:
@@ -393,3 +403,137 @@ class TestRawJson:
         with pytest.warns(UserWarning, match="non-finite"):
             back = read_raw_json(str(p))
         assert np.isinf(back.data.ravel()[0])
+
+
+# a DimSize (W H D) whose MET_DOUBLE payload would be 8 PiB
+_HUGE = (1048576, 1048576, 1024)
+
+
+def _write_payload(tmp_path, form, payload, dims=(2, 1, 1), element_type="MET_DOUBLE"):
+    """Write `payload` under a header of DimSize `dims` (W H D) in `form`; return the header path.
+
+    "inline" and "sibling" are MetaImage forms; "raw" is the JSON sidecar,
+    whose kind follows `element_type` (MET_DOUBLE image, MET_UCHAR mask).
+    """
+    if form == "raw":
+        kind, dtype = ("image", "float64") if element_type == "MET_DOUBLE" else ("mask", "uint8")
+        doc = {"dtype": dtype, "kind": kind, "raw_file": "vol.raw",
+               "shape": list(dims[::-1]), "spacing": [1.0, 1.0, 1.0]}
+        (tmp_path / "vol.json").write_text(json.dumps(doc))
+        (tmp_path / "vol.raw").write_bytes(payload)
+        return str(tmp_path / "vol.json")
+    p = str(tmp_path / "vol.mhd")
+    _write_header_and_payload(p, payload, data_file="LOCAL" if form == "inline" else "vol.raw",
+                              DimSize=" ".join(map(str, dims)), ElementType=element_type)
+    return p
+
+
+def _read(path):
+    return read_raw_json(path) if path.endswith(".json") else read_mha(path)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes traced while `fn(*args)` runs, its result included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_FORMATS = [(write_mha, "vol.mha"), (write_raw_json, "vol.json")]
+
+
+class TestPayloadIO:
+    """Each payload is touched once: read into the array it stays in, written from the container's buffer."""
+
+    @pytest.mark.parametrize("write, name", _FORMATS)
+    def test_double_read_peaks_near_one_payload(self, tmp_path, write, name):
+        v = _volume(np.random.default_rng(271), shape=(64, 64, 64))
+        p = str(tmp_path / name)
+        write(v, p)
+        # the payload array plus isfinite's 1-byte-per-voxel temporary
+        assert _traced_peak(_read, p) <= 1.25 * v.data.nbytes
+
+    @pytest.mark.parametrize("write, name", _FORMATS)
+    def test_write_copies_no_payload(self, tmp_path, write, name):
+        v = _volume(np.random.default_rng(277), shape=(64, 64, 64))
+        assert _traced_peak(write, v, str(tmp_path / name)) <= 0.1 * v.data.nbytes
+
+    @pytest.mark.parametrize("write, name", _FORMATS)
+    def test_mask_write_copies_no_payload(self, tmp_path, write, name):
+        m = _mask(np.random.default_rng(281), shape=(64, 64, 64))
+        assert _traced_peak(write, m, str(tmp_path / name)) <= 0.1 * m.data.size
+
+    def test_mask_from_odd_bool_bytes_stores_and_writes_zero_one(self, tmp_path):
+        # a bool view of bytes other than 0/1 reads as True; the mask keeps 1 for it
+        raw = bytes([0, 2, 1, 0, 5, 1, 0, 0])
+        m = BinaryMask(np.frombuffer(raw, dtype=bool).reshape(2, 2, 2))
+        assert m.data.view(np.uint8).tobytes() == bytes([0, 1, 1, 0, 1, 1, 0, 0])
+        write_mha(m, str(tmp_path / "m.mha"))
+        assert (tmp_path / "m.mha").read_bytes().endswith(b"LOCAL\n" + bytes([0, 1, 1, 0, 1, 1, 0, 0]))
+        write_raw_json(m, str(tmp_path / "m.json"))
+        assert (tmp_path / "m.raw").read_bytes() == bytes([0, 1, 1, 0, 1, 1, 0, 0])
+
+    @pytest.mark.parametrize("form", ["inline", "sibling", "raw"])
+    def test_size_is_checked_before_allocating(self, tmp_path, form):
+        p = _write_payload(tmp_path, form, b"\x00" * 8, dims=_HUGE)
+
+        def refused():
+            with pytest.raises(CorruptFileError, match="header implies"):
+                _read(p)
+
+        assert _traced_peak(refused) < 2 ** 20
+
+    @pytest.mark.parametrize("n_bytes", [15, 17])
+    def test_sibling_payload_one_byte_off_rejected(self, tmp_path, n_bytes):
+        p = _write_payload(tmp_path, "sibling", b"\x00" * n_bytes)
+        with pytest.raises(CorruptFileError, match=f"holds {n_bytes} bytes, header implies 16"):
+            read_mha(p)
+
+    @pytest.mark.parametrize("form", ["inline", "sibling", "raw"])
+    def test_named_pipe_payload_is_corrupt(self, tmp_path, form):
+        # the size of a pipe cannot be checked before reading it
+        p = _write_payload(tmp_path, form, struct.pack("<2d", 1.0, 2.0))
+        fifo = p if form == "inline" else str(tmp_path / "vol.raw")
+        with open(fifo, "rb") as f:
+            data = f.read()
+        os.remove(fifo)
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as w:
+                    w.write(data)
+            except BrokenPipeError:  # the reader may close first
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        with pytest.raises(CorruptFileError, match="not a regular file"):
+            _read(p)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("form, payload, element_type, error", [
+        ("inline", b"\x00" * 15, "MET_DOUBLE", CorruptFileError),
+        ("sibling", b"\x00" * 17, "MET_DOUBLE", CorruptFileError),
+        ("raw", b"\x00" * 9, "MET_DOUBLE", CorruptFileError),
+        ("raw", bytes([1, 2]), "MET_UCHAR", CorruptFileError),
+        ("inline", b"\x00" * 16, "MET_INT", UnsupportedFormatError),
+        ("sibling", None, "MET_DOUBLE", FileNotFoundError),
+    ], ids=["inline-short", "sibling-long", "raw-long", "raw-nonbinary-mask", "bad-element-type",
+            "missing-sibling"])
+    def test_error_paths_close_every_file(self, tmp_path, form, payload, element_type, error):
+        p = _write_payload(tmp_path, form, payload or b"", element_type=element_type)
+        if payload is None:
+            os.remove(tmp_path / "vol.raw")
+        # an unclosed file warns when it is collected; record instead of letting it pass unseen
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(error):
+                _read(p)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
