@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import logging
 import os
 import sys
@@ -84,20 +85,19 @@ def _read_volume(path: str):
     return obj
 
 
-def _emit_text(text: str, out: str | None) -> None:
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write `text` to stdout, or as UTF-8 to the file `out`."""
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="ascii") as f:
+        with open(out, "w", encoding="utf-8", newline="") as f:
             f.write(text)
-
-
-def _emit_csv(rows, out: str | None) -> None:
-    if out is None:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
-    else:
-        with open(out, "w", newline="", encoding="ascii") as f:
-            csv.writer(f, lineterminator="\n").writerows(rows)
 
 
 def _cmd_kernel(args) -> int:
@@ -106,7 +106,7 @@ def _cmd_kernel(args) -> int:
     spec = KernelSpec(k=args.k, gamma=args.gamma, c=args.c, dims=args.dims)
     kern = make_kernel(spec, args.polarity)
     text = kernel_to_json(kern) + "\n" if args.format == "json" else kernel_to_csv(kern)
-    _emit_text(text, args.out)
+    _emit(text, args.out)
     return 0
 
 
@@ -136,7 +136,7 @@ def _cmd_eval(args) -> int:
     except UndefinedDistanceError:
         log.warning("case %s: empty mask, Hausdorff distance undefined", case)
         hsd = "undefined"
-    _emit_csv([["case", "dsc", "hsd_mm"], [case, repr(dsc), hsd]], args.csv_out)
+    _emit(_csv_text([["case", "dsc", "hsd_mm"], [case, repr(dsc), hsd]]), args.csv_out)
     return 0
 
 
@@ -196,7 +196,7 @@ def _cmd_gradcheck(args) -> int:
             str(r.k_oocs), str(r.c_in), str(r.c_out), str(r.seed),
             f"{r.max_rel_err:.3e}", str(r.redraws), "pass" if r.passed else "FAIL",
         ])
-    _emit_csv(table, args.out)
+    _emit(_csv_text(table), args.out)
     failed = sum(1 for r in rows if not r.passed)
     if failed:
         log.error("%d of %d gradient checks failed", failed, len(rows))

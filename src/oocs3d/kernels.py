@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,17 +65,18 @@ class KernelDerivation:
     scale_neg: float
 
 
+@dataclass(frozen=True, eq=False)
 class BalancedKernel:
     """A sampled, exactly balanced kernel plus its provenance-free recipe.
 
-    `make_kernel` is its one builder; the constructor checks nothing.
+    `make_kernel` is its one builder and hands it sealed weights; the
+    constructor checks nothing.
     """
 
-    def __init__(self, spec: KernelSpec, derivation: KernelDerivation, weights, polarity: str):
-        self.spec = spec
-        self.derivation = derivation
-        self.weights = _seal(np.array(weights, dtype=np.float64, order="C"))
-        self.polarity = polarity
+    spec: KernelSpec
+    derivation: KernelDerivation
+    weights: np.ndarray
+    polarity: str
 
     def __repr__(self) -> str:
         s = self.spec
@@ -108,42 +109,24 @@ def _dog_terms(spec: KernelSpec, sigma: float) -> tuple[float, float, float]:
     return inv_center_norm, 2.0 * g * g * sigma * sigma, 2.0 * sigma * sigma
 
 
-def _dog_profile(spec: KernelSpec, sigma: float):
-    """DoG value as a function of squared radius, unit amplitudes.
-
-    Entries within 1e-12 of the peak-relative scale around the analytic
-    sign change collapse to exact zeros: float noise there would
-    otherwise leak sign-indeterminate values into the balancing step.
-    """
-    inv_center_norm, tc, ts = _dog_terms(spec, sigma)
-    snap = 1e-12 * (inv_center_norm - 1.0)
-
-    def value(rho2: float) -> float:
-        v = inv_center_norm * math.exp(-rho2 / tc) - math.exp(-rho2 / ts)
-        return 0.0 if abs(v) <= snap else v
-
-    return value
-
-
 def sample_dog(spec: KernelSpec) -> np.ndarray:
     """Sample the unbalanced DoG on the k^dims integer offset grid.
 
-    Each symmetry orbit (offsets equal up to axis permutation and sign)
-    is evaluated once and replicated, so radial symmetry holds bit-exactly.
+    The DoG is evaluated once per integer squared radius and looked up
+    by each offset's squared radius, so radial symmetry holds bit-exactly.
+    Values within 1e-12 of the peak-relative scale around the analytic
+    sign change collapse to exact zeros: float noise there would
+    otherwise leak sign-indeterminate values into the balancing step.
     """
-    _, _, sigma = _geometry(spec)
-    value = _dog_profile(spec, sigma)
     m = (spec.k - 1) // 2
-    shape = (spec.k,) * spec.dims
-    out = np.empty(shape)
-    cache: dict[tuple, float] = {}
-    for idx in np.ndindex(shape):
-        pos = tuple(i - m for i in idx)
-        key = tuple(sorted((abs(c) for c in pos), reverse=True))
-        if key not in cache:
-            cache[key] = value(float(sum(c * c for c in key)))
-        out[idx] = cache[key]
-    return out
+    sq = np.arange(-m, m + 1, dtype=np.int32) ** 2
+    # the grid comes first: a size the machine cannot hold fails before any DoG is evaluated
+    rho2 = sum(np.ix_(*(sq,) * spec.dims))
+    inv_center_norm, tc, ts = _dog_terms(spec, _geometry(spec)[2])
+    table = np.array([inv_center_norm * math.exp(-r / tc) - math.exp(-r / ts)
+                      for r in range(spec.dims * m * m + 1)])
+    table[np.abs(table) <= 1e-12 * (inv_center_norm - 1.0)] = 0.0
+    return table[rho2]
 
 
 def _sign_sums(arr: np.ndarray) -> tuple[float, float]:
@@ -186,7 +169,7 @@ def make_kernel(spec: KernelSpec, polarity: str = "on") -> BalancedKernel:
         scale_pos=spec.c / sum_pos,
         scale_neg=spec.c / -sum_neg,
     )
-    return BalancedKernel(spec, derivation, weights, polarity)
+    return BalancedKernel(spec, derivation, _seal(weights), polarity)
 
 
 class BalanceResidual(NamedTuple):
@@ -232,19 +215,8 @@ def continuous_balance_check(spec: KernelSpec, n_grid: int) -> BalanceResidual:
 def kernel_to_json(kern: BalancedKernel) -> str:
     """Serialize a kernel to JSON; floats round-trip exactly."""
     doc = {
-        "spec": {
-            "k": kern.spec.k,
-            "gamma": kern.spec.gamma,
-            "c": kern.spec.c,
-            "dims": kern.spec.dims,
-        },
-        "derivation": {
-            "r_surround": kern.derivation.r_surround,
-            "r_center": kern.derivation.r_center,
-            "sigma": kern.derivation.sigma,
-            "scale_pos": kern.derivation.scale_pos,
-            "scale_neg": kern.derivation.scale_neg,
-        },
+        "spec": asdict(kern.spec),
+        "derivation": asdict(kern.derivation),
         "polarity": kern.polarity,
         "weights": kern.weights.tolist(),
     }
@@ -261,10 +233,6 @@ def kernel_to_csv(kern: BalancedKernel) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "y", "z", "weight"])
     for idx in np.ndindex(kern.weights.shape):
-        if kern.spec.dims == 3:
-            z, y, x = (i - m for i in idx)
-        else:
-            y, x = (i - m for i in idx)
-            z = 0
+        x, y, z = (*(i - m for i in reversed(idx)), 0)[:3]
         writer.writerow([x, y, z, repr(float(kern.weights[idx]))])
     return buf.getvalue()

@@ -150,7 +150,11 @@ def _zero_one(a: np.ndarray) -> bool:
 
     The one 0/1 rule of the package: masks, the mask file readers and the
     loss targets all use it.  -0.0 counts as 0; NaN, 0.5 and 1+1j fail.
+    A bool or integer `a` (non-empty) holds nothing between 0 and 1, so
+    its range decides without a full-size temporary.
     """
+    if a.dtype.kind in "biu":
+        return bool(a.min() >= 0 and a.max() <= 1)
     return bool(((a == 0) | (a == 1)).all())
 
 

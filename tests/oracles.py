@@ -8,9 +8,32 @@ Agreement between the two routes is the point; these helpers must never
 import from the modules they are used to check beyond the data types.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
+
+
+def naive_dog(spec):
+    """Unbalanced DoG of a kernel spec, one offset at a time.
+
+    Restates the closed form of the kernels module docstring: surround
+    radius k/2, center radius gamma * k/2, the sigma that puts the sign
+    change there, and gamma^-d exp(-rho^2 / (2 gamma^2 sigma^2)) -
+    exp(-rho^2 / (2 sigma^2)) at every integer offset, with values
+    within 1e-12 * (gamma^-d - 1) of zero snapped to 0.0.
+    """
+    g, d, m = spec.gamma, spec.dims, spec.k // 2
+    r_center = g * (spec.k / 2.0)
+    sigma = (r_center / g) * math.sqrt((1.0 - g * g) / (-6.0 * math.log(g)))
+    amp = g ** -d
+    out = np.empty((spec.k,) * d)
+    for idx in np.ndindex(out.shape):
+        rho2 = float(sum((i - m) ** 2 for i in idx))
+        v = amp * math.exp(-rho2 / (2.0 * g * g * sigma * sigma)) - math.exp(-rho2 / (2.0 * sigma * sigma))
+        out[idx] = 0.0 if abs(v) <= 1e-12 * (amp - 1.0) else v
+    return out
 
 
 def naive_conv3d(x, w, bias=None, padding="same_zero"):

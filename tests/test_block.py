@@ -49,6 +49,8 @@ class TestConfig:
             OocsBlockConfig(c_in=0, c_out=4)
         with pytest.raises(ConfigError):
             OocsBlockConfig(c_in=1, c_out=4, k_oocs=7)
+        with pytest.raises(ConfigError):
+            OocsBlockConfig(c_in=1, c_out=4, k_learn=4)
 
     def test_half_width_and_spec(self):
         cfg = OocsBlockConfig(c_in=2, c_out=8, k_oocs=5)
@@ -114,6 +116,17 @@ class TestParams:
             wrong = ConvWeights(kernel, bias=np.zeros(1))
         with pytest.raises(ConfigError):
             dataclasses.replace(params, on_kernel=wrong)
+
+    @pytest.mark.parametrize("fields, match", [
+        (("w1_off",), "paired pathway weights"),
+        (("w2_on", "w2_off"), "second conv"),
+    ])
+    def test_pathway_shapes_must_fit(self, fields, match):
+        cfg = OocsBlockConfig(c_in=2, c_out=4)
+        params = init_block_params(cfg, seed=0)
+        wrong = ConvWeights(np.zeros((2, 3, 3, 3, 3)))  # three input channels where the block has two
+        with pytest.raises(DimensionError, match=match):
+            dataclasses.replace(params, **dict.fromkeys(fields, wrong))
 
     def test_init_determinism(self):
         cfg = OocsBlockConfig(c_in=2, c_out=4)
@@ -185,6 +198,8 @@ class TestForward:
         params = init_block_params(cfg, seed=0)
         with pytest.raises(DimensionError):
             block_forward(FeatureMap(np.zeros((3, 5, 5, 5))), params, cfg)
+        with pytest.raises(DimensionError, match="params do not match"):
+            block_forward(FeatureMap(np.zeros((2, 5, 5, 5))), params, OocsBlockConfig(c_in=2, c_out=8))
 
 
 def _with_fixed_kernel(params, kernel):

@@ -339,14 +339,20 @@ class TestEvalCommand:
         assert cells[2] == "undefined"
 
     def test_csv_out_file(self, capsys, tmp_path):
+        # the file is UTF-8, so a label from --case or the --pred name may be non-ASCII
         data = np.ones((2, 2, 2), dtype=bool)
-        a = tmp_path / "a.mha"
-        self._write_mask(a, data)
         out_csv = tmp_path / "scores.csv"
-        rc = main(["eval", "--pred", str(a), "--ref", str(a), "--csv-out", str(out_csv)])
-        capsys.readouterr()
-        assert rc == 0
-        assert out_csv.read_text().startswith("case,dsc,hsd_mm\n")
+        for pred, case_args, label in [
+            ("a.mha", [], "a"),
+            ("a.mha", ["--case", "café"], "café"),
+            ("préd.mha", [], "préd"),
+        ]:
+            a = tmp_path / pred
+            self._write_mask(a, data)
+            rc = main(["eval", "--pred", str(a), "--ref", str(a), "--csv-out", str(out_csv), *case_args])
+            capsys.readouterr()
+            assert rc == 0
+            assert out_csv.read_bytes().decode("utf-8") == f"case,dsc,hsd_mm\n{label},1.0,0.0\n"
 
     def test_non_mask_input_is_usage_error(self, capsys, tmp_path):
         v = Volume(np.array([[[0.5, 2.0]]]), spacing=(1.0, 1.0, 1.0))

@@ -41,7 +41,9 @@ class TestSingleCase:
 
     @pytest.mark.parametrize("kwargs", [
         {"h": float("nan")}, {"h": float("inf")}, {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0},
-    ], ids=["h-nan", "h-inf", "tol-nan", "tol-negative", "tol-zero"])
+        {"n_dirs": 0}, {"spatial": (6, 6)}, {"spatial": (6, 0, 6)},
+    ], ids=["h-nan", "h-inf", "tol-nan", "tol-negative", "tol-zero", "n_dirs-zero", "spatial-2d",
+            "spatial-empty-axis"])
     def test_non_finite_or_non_positive_step_and_tolerance_rejected(self, kwargs):
         with pytest.raises(DomainError):
             block_gradient_check(OocsBlockConfig(c_in=1, c_out=4), seed=0, **kwargs)

@@ -26,6 +26,8 @@ from oocs3d.kernels import (
     sample_dog,
 )
 
+from oracles import naive_dog
+
 # Surround radius 1 and 5/3 at the preset ratio 2/3, frozen from a
 # 50-digit evaluation of the closed form.  The 6-decimal roundings seen
 # in circulation (0.716842, 1.194736) differ in the 5th decimal; they
@@ -39,6 +41,11 @@ GRID = [
     for k in (3, 5, 7)
     for gamma in (0.5, 2.0 / 3.0, 0.75)
     for c in (1.0, 3.0)
+]
+
+# the (k, gamma) pairs of GRID plus both ends of the gamma range
+DOG_CASES = sorted({(k, gamma) for k, gamma, _ in GRID}) + [
+    (k, gamma) for k in (3, 9) for gamma in (0.01, 0.99)
 ]
 
 
@@ -96,6 +103,15 @@ class TestComputeSigma:
 
 
 class TestSampleDog:
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("k,gamma", DOG_CASES)
+    def test_matches_per_offset_oracle_bytewise(self, k, gamma, dims):
+        spec = KernelSpec(k=k, gamma=gamma, dims=dims)
+        raw = sample_dog(spec)
+        want = naive_dog(spec)
+        assert raw.shape == want.shape
+        assert raw.tobytes() == want.tobytes()
+
     def test_center_value_3d(self):
         # at the origin the profile is 1/gamma^3 - 1 = 19/8 for gamma 2/3;
         # float(2/3) puts the direct evaluation 2 ulp above that, so the

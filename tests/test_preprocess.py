@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oocs3d.errors import DomainError, NormalizationError, ResampleError
+from oocs3d.errors import DimensionError, DomainError, NormalizationError, ResampleError
 from oocs3d.preprocess import (
     crop_or_pad,
     crop_or_pad_mask,
@@ -167,3 +167,8 @@ class TestCropOrPad:
         with pytest.raises(DomainError):
             crop_or_pad(v, (0, 2, 2))
 
+
+@pytest.mark.parametrize("op, arg", [(resample, (1.0, 1.0, 1.0)), (crop_or_pad, (2, 2, 2))])
+def test_bare_array_rejected(op, arg):
+    with pytest.raises(DimensionError, match="expected a Volume or BinaryMask"):
+        op(np.zeros((2, 2, 2)), arg)

@@ -160,6 +160,7 @@ class TestContainerValidation:
         pytest.param(FeatureMap, (2, 3, 4, 5), id="feature_map"),
         pytest.param(ConvWeights, (2, 1, 3, 3, 3), id="weights"),
         pytest.param(lambda b: ConvWeights(np.zeros((2, 1, 1, 1, 1)), b), (2,), id="bias"),
+        pytest.param(BinaryMask, (2, 3, 4), id="mask"),
     ])
     @pytest.mark.parametrize("case, error", [
         ("wrong_rank", DimensionError),

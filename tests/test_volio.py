@@ -250,6 +250,18 @@ class TestMhaErrorPaths:
         with pytest.raises(CorruptFileError, match=key):
             read_mha(p)
 
+    @pytest.mark.parametrize("overrides, error, match", [
+        ({"ElementNumberOfChannels": "2"}, UnsupportedFormatError, "multi-channel"),
+        ({"DimSize": "2 1 0"}, CorruptFileError, "DimSize entries must be positive"),
+        ({"ElementSpacing": "1 0 1"}, CorruptFileError, "ElementSpacing must be positive"),
+    ])
+    def test_header_value_refused(self, tmp_path, overrides, error, match):
+        # the 16-byte payload fits a 2 x 1 x 1 MET_DOUBLE image, so only the header check refuses
+        p = str(tmp_path / "bad.mha")
+        _write_header_and_payload(p, struct.pack("<2d", 1.0, 2.0), **overrides)
+        with pytest.raises(error, match=match):
+            read_mha(p)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_mha(str(tmp_path / "absent.mha"))
@@ -461,6 +473,14 @@ class TestPayloadIO:
     def test_write_copies_no_payload(self, tmp_path, write, name):
         v = _volume(np.random.default_rng(277), shape=(64, 64, 64))
         assert _traced_peak(write, v, str(tmp_path / name)) <= 0.1 * v.data.nbytes
+
+    @pytest.mark.parametrize("write, name", _FORMATS)
+    def test_mask_read_peaks_near_payload_and_mask(self, tmp_path, write, name):
+        m = _mask(np.random.default_rng(283), shape=(64, 64, 64))
+        p = str(tmp_path / name)
+        write(m, p)
+        # the u1 payload plus the mask's one bool copy
+        assert _traced_peak(_read, p) <= 2.4 * m.data.size
 
     @pytest.mark.parametrize("write, name", _FORMATS)
     def test_mask_write_copies_no_payload(self, tmp_path, write, name):
