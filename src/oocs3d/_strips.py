@@ -25,8 +25,8 @@ STRIP_ROWS = 16
 def thread_count() -> int:
     """Worker count: OMP_NUM_THREADS when it is a positive integer, else the CPUs this process may use.
 
-    The CLI's `--threads`/`OOCS_THREADS` sets OMP_NUM_THREADS before any
-    numeric module is imported.  Read once, on first use.
+    The CLI's `--threads` sets OMP_NUM_THREADS before any numeric module
+    is imported.  Read once, on first use.
     """
     try:
         n = int(os.environ.get("OMP_NUM_THREADS", ""))

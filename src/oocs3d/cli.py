@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 
-from .errors import ConfigError, OocsError, UndefinedDistanceError, UnsupportedFormatError
+from .errors import ConfigError, DimensionError, OocsError, UndefinedDistanceError, UnsupportedFormatError
 
 log = logging.getLogger("oocs3d")
 # log prefix for each exit code an error class carries
@@ -28,17 +28,11 @@ _FAILURE_KIND = {2: "configuration error", 3: "file error", 4: "numeric failure"
 def _apply_threads(threads: int | None) -> None:
     """Pin BLAS/OpenMP pools via env vars; only takes effect before numpy is imported."""
     if threads is None:
-        env = os.environ.get("OOCS_THREADS")
-        if env is None:
-            return
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"OOCS_THREADS must be an integer, got {env!r}") from exc
+        return
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     if "numpy" in sys.modules:
-        log.warning("--threads/OOCS_THREADS=%d has no effect: numpy is already imported "
+        log.warning("--threads=%d has no effect: numpy is already imported "
                     "and its thread pools are sized", threads)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(threads)
@@ -55,16 +49,19 @@ def _read_any(path: str):
     raise UnsupportedFormatError(f"unrecognized input extension on {path!r} (use .mha, .mhd, or .json)")
 
 
-def _write_any(obj, path: str) -> None:
+def _writer(path: str):
+    """The volio writer for `path`'s extension, read off the module at each call so a wrapper put there applies.
+
+    Commands get every output's writer before they read their input.
+    """
     from . import volio
 
     ext = os.path.splitext(path)[1].lower()
     if ext == ".mha":
-        volio.write_mha(obj, path)
-    elif ext == ".json":
-        volio.write_raw_json(obj, path)
-    else:
-        raise UnsupportedFormatError(f"unrecognized output extension on {path!r} (use .mha or .json)")
+        return volio.write_mha
+    if ext == ".json":
+        return volio.write_raw_json
+    raise UnsupportedFormatError(f"unrecognized output extension on {path!r} (use .mha or .json)")
 
 
 def _read_mask(path: str):
@@ -115,12 +112,13 @@ def _cmd_filter(args) -> int:
     from .tensor import ConvWeights, FeatureMap, Volume, _seal, conv3d_forward
 
     spec = KernelSpec(k=args.k, gamma=args.gamma, c=args.c, dims=3)
+    write_on, write_off = _writer(args.out_on), _writer(args.out_off)
     v = _read_volume(args.image)
     w = ConvWeights(make_kernel(spec, "on").weights[None, None])
-    on = conv3d_forward(FeatureMap.from_volume(v), w, padding=args.padding).to_volume(v.spacing)
-    _write_any(on, args.out_on)
+    on = conv3d_forward(FeatureMap(v.data[None]), w, padding=args.padding)
+    write_on(Volume(on.data[0], v.spacing), args.out_on)
     # the Off kernel is the exact negation of the On kernel, so is its response
-    _write_any(Volume(_seal(-on.data), v.spacing), args.out_off)
+    write_off(Volume(_seal(-on.data[0]), v.spacing), args.out_off)
     return 0
 
 
@@ -143,6 +141,7 @@ def _cmd_eval(args) -> int:
 def _cmd_perturb(args) -> int:
     from .perturb import gaussian_blur, gaussian_noise, motion_artifact
 
+    write = _writer(args.out)
     v = _read_volume(args.image)
     if args.kind == "gaussian_blur":
         out = gaussian_blur(v, args.sigma)
@@ -150,7 +149,7 @@ def _cmd_perturb(args) -> int:
         out = gaussian_noise(v, args.sigma, args.seed)
     else:
         out = motion_artifact(v, args.n, args.max_rot, args.max_trans, args.seed)
-    _write_any(out, args.out)
+    write(out, args.out)
     return 0
 
 
@@ -161,8 +160,13 @@ def _cmd_preprocess(args) -> int:
         raise ConfigError("--mask and --mask-out must be given together")
     if args.spacing is None and args.crop is None and not args.zscore:
         raise ConfigError("preprocess needs at least one of --spacing, --zscore, --crop")
+    write_image = _writer(args.out)
+    write_mask = _writer(args.mask_out) if args.mask_out is not None else None
     v = _read_volume(args.image)
     m = _read_mask(args.mask) if args.mask is not None else None
+    if m is not None and (m.shape, m.spacing) != (v.shape, v.spacing):
+        raise DimensionError(f"mask {args.mask!r} has shape {m.shape} and spacing {m.spacing}, "
+                             f"but the image has shape {v.shape} and spacing {v.spacing}")
     if args.spacing is not None:
         spacing = tuple(args.spacing)
         v = pp.resample(v, spacing)
@@ -174,9 +178,9 @@ def _cmd_preprocess(args) -> int:
         v = pp.crop_or_pad(v, args.crop)
         if m is not None:
             m = pp.crop_or_pad_mask(m, args.crop)
-    _write_any(v, args.out)
+    write_image(v, args.out)
     if m is not None:
-        _write_any(m, args.mask_out)
+        write_mask(m, args.mask_out)
     return 0
 
 
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oocs3d", description=__doc__.splitlines()[0])
     parser.add_argument("--threads", type=int, default=None,
                         help="pin BLAS/OpenMP thread pools and size the strip pool "
-                             "(default: OOCS_THREADS env var, else library default)")
+                             "(default: OMP_NUM_THREADS, else library default)")
     parser.add_argument("--seed", type=int, default=0, help="base seed for stochastic subcommands")
     parser.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"), help="stderr log verbosity")

@@ -60,7 +60,7 @@ class UndefinedDistanceError(DomainError):
 
 
 class NonFiniteError(DomainError):
-    """A container got NaN or infinity, as float64 overflow on finite data leaves."""
+    """A container got NaN or infinity: from a file's payload, or as float64 overflow on finite data leaves."""
 
     exit_code = 4
 

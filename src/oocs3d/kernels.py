@@ -129,46 +129,27 @@ def sample_dog(spec: KernelSpec) -> np.ndarray:
     return table[rho2]
 
 
-def _sign_sums(arr: np.ndarray) -> tuple[float, float]:
-    pos = arr[arr > 0.0]
-    neg = arr[arr < 0.0]
-    if pos.size == 0 or neg.size == 0:
-        raise DegenerateKernelError("kernel needs at least one positive and one negative entry to balance")
-    return float(pos.sum()), float(neg.sum())
-
-
-def balance(raw, c: float) -> np.ndarray:
-    """Rescale each sign class so positives sum to +c and negatives to -c.
-
-    Zero entries belong to neither class and pass through untouched.
-    """
-    if not (np.isfinite(c) and c >= 1.0):
-        raise DomainError(f"balance constant c must be >= 1, got {c!r}")
-    arr = np.array(raw, dtype=np.float64)
-    sum_pos, sum_neg = _sign_sums(arr)
-    out = arr.copy()
-    out[arr > 0.0] *= c / sum_pos
-    out[arr < 0.0] *= c / -sum_neg
-    return out
-
-
 def make_kernel(spec: KernelSpec, polarity: str = "on") -> BalancedKernel:
     """Build the balanced kernel for `spec`; 'off' is the exact negation of 'on'."""
     if polarity not in ("on", "off"):
         raise ConfigError(f"polarity must be 'on' or 'off', got {polarity!r}")
-    raw = sample_dog(spec)
+    weights = sample_dog(spec)
     r_surround, r_center, sigma = _geometry(spec)
-    sum_pos, sum_neg = _sign_sums(raw)
-    weights = balance(raw, spec.c)
-    if polarity == "off":
-        weights = -weights
+    pos, neg = weights > 0.0, weights < 0.0
+    if not (pos.any() and neg.any()):
+        raise DegenerateKernelError("kernel needs at least one positive and one negative entry to balance")
     derivation = KernelDerivation(
         r_surround=r_surround,
         r_center=r_center,
         sigma=sigma,
-        scale_pos=spec.c / sum_pos,
-        scale_neg=spec.c / -sum_neg,
+        scale_pos=spec.c / float(weights[pos].sum()),
+        scale_neg=spec.c / -float(weights[neg].sum()),
     )
+    # balance the fresh sample in place; zeros belong to neither sign class
+    weights[pos] *= derivation.scale_pos
+    weights[neg] *= derivation.scale_neg
+    if polarity == "off":
+        np.negative(weights, out=weights)
     return BalancedKernel(spec, derivation, _seal(weights), polarity)
 
 

@@ -36,8 +36,8 @@ write (another container's, a view of one, or an array the library has
 just built and sealed with `_seal`) and copies anything else, so a
 caller's writable array is never shared; see `_frozen`.  Operations
 never write into their inputs, and every computed result is a fresh
-buffer; `FeatureMap.from_volume` and `to_volume` are views of their
-source's buffer.
+buffer.  So `FeatureMap(v.data[None])` and `Volume(fm.data[0], spacing)`
+convert between the two without a copy.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _unwritable(arr) -> bool:
     return False
 
 
-def _frozen(data, ndim: int, what: str, check_finite: bool = True) -> np.ndarray:
+def _frozen(data, ndim: int, what: str) -> np.ndarray:
     """A read-only C-ordered float64 buffer of `data`: rank `ndim`, no empty axis, finite values.
 
     An array no one can write (`_unwritable`: another container's buffer,
@@ -120,7 +120,7 @@ def _frozen(data, ndim: int, what: str, check_finite: bool = True) -> np.ndarray
     arr = data if _unwritable(data) else np.array(data, dtype=np.float64, order="C")
     if arr.ndim != ndim or min(arr.shape) < 1:
         raise DimensionError(f"{what} must be non-empty {ndim}D, got shape {arr.shape}")
-    if check_finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} contains non-finite values")
     return _seal(arr)
 
@@ -129,12 +129,11 @@ class Volume:
     """A 3D scalar grid with physical voxel spacing.
 
     `data` has shape (D, H, W); `spacing` is (sz, sy, sx) in millimeters
-    per voxel.  Values must be finite; `check_finite=False` is reserved
-    for file readers that surface degraded external data with a warning.
+    per voxel.  Values must be finite.
     """
 
-    def __init__(self, data, spacing=(1.0, 1.0, 1.0), *, check_finite: bool = True):
-        self.data = _frozen(data, 3, "volume data", check_finite)
+    def __init__(self, data, spacing=(1.0, 1.0, 1.0)):
+        self.data = _frozen(data, 3, "volume data")
         self.spacing = _check_spacing(spacing)
 
     @property
@@ -194,15 +193,6 @@ class FeatureMap:
 
     def __init__(self, data):
         self.data = _frozen(data, 4, "feature map (C, D, H, W)")
-
-    @classmethod
-    def from_volume(cls, v: Volume) -> "FeatureMap":
-        return cls(v.data[None])
-
-    def to_volume(self, spacing=(1.0, 1.0, 1.0)) -> Volume:
-        if self.channels != 1:
-            raise DimensionError(f"only single-channel maps convert to volumes, got C={self.channels}")
-        return Volume(self.data[0], spacing)
 
     @property
     def channels(self) -> int:

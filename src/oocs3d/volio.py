@@ -9,8 +9,9 @@ name in the header's own directory: absolute names, names with a path
 separator, and `.`/`..` are rejected as corrupt.  The reader takes
 MET_UCHAR, MET_SHORT, MET_FLOAT and MET_DOUBLE payloads: MET_UCHAR
 payloads whose values are all 0 or 1 load as masks, everything else
-loads as an image volume.  The writer emits MET_DOUBLE images and
-MET_UCHAR masks.
+loads as an image volume.  An image's values must be finite: a NaN or
+an infinity in the payload raises NonFiniteError naming the file.  The
+writer emits MET_DOUBLE images and MET_UCHAR masks.
 
 Each payload is touched once.  The reader checks the payload file's size
 against the size the header implies before it allocates anything, then
@@ -34,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, CorruptFileError, UnsupportedFormatError
+from .errors import ConfigError, CorruptFileError, NonFiniteError, UnsupportedFormatError
 from .tensor import BinaryMask, Volume, _seal, _zero_one
 
 # element type -> little-endian dtype; all four read, MET_DOUBLE and MET_UCHAR written
@@ -249,7 +250,7 @@ def _load_payload(f, dtype: np.dtype, shape, spacing, mask, path: str):
     """Read the little-endian payload of `shape`, `f`'s position to its end, as a BinaryMask or a Volume.
 
     `mask` True requires 0/1 values, None makes 0/1 values a mask and other
-    values a volume, False always makes a volume (non-finite values warn).
+    values a volume, False always makes a volume.
     """
     # only a regular file has a size to check before allocating; tell() would fail on a pipe
     st = os.fstat(f.fileno())
@@ -270,6 +271,7 @@ def _load_payload(f, dtype: np.dtype, shape, spacing, mask, path: str):
         if mask:
             raise CorruptFileError("mask payload contains values other than 0 and 1")
     values = arr.astype(np.float64, copy=False)  # a MET_DOUBLE array is taken as read
-    if not np.isfinite(values).all():
-        warnings.warn(f"volume read from {path!r} contains non-finite values")
-    return Volume(_seal(values), spacing, check_finite=False)  # checked just above
+    try:
+        return Volume(_seal(values), spacing)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"volume read from {path!r} contains non-finite values") from exc

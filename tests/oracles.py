@@ -36,6 +36,19 @@ def naive_dog(spec):
     return out
 
 
+def naive_balance(raw, c):
+    """Scale each sign class of `raw` by c over its sum; zeros stay as they are.
+
+    The positive entries then sum to +c and the negative ones to -c.  The
+    class sums are numpy's sums of the class in C order, so a correct
+    balancing agrees with this one byte for byte.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    pos = raw[raw > 0].sum()
+    neg = raw[raw < 0].sum()
+    return np.where(raw > 0, raw * (c / pos), np.where(raw < 0, raw * (c / abs(neg)), raw))
+
+
 def naive_conv3d(x, w, bias=None, padding="same_zero"):
     """Direct window-sum convolution over (C_in, D, H, W) input.
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oocs3d import cli, preprocess
+from oocs3d import cli, preprocess, volio
 from oocs3d.block import BlockGrads, OocsBlockConfig, OocsBlockParams, init_block_params
 from oocs3d.gradcheck import GradCheckCase
 from oocs3d.tensor import BinaryMask, ConvWeights, Volume
@@ -97,6 +97,25 @@ def test_preprocess_routes_masks_through_the_traced_twins(tmp_path, monkeypatch)
         ("resample", "Volume"), ("resample_mask", "BinaryMask"),
         ("crop_or_pad", "Volume"), ("crop_or_pad_mask", "BinaryMask"),
     ]
+
+
+def test_filter_reads_and_writes_through_the_traced_file_functions(tmp_path, monkeypatch):
+    # volio.read.* and volio.write.* count calls of the module attributes
+    # the tracer swaps; a writer the CLI held on to at import time would
+    # skip the swap and read 0 without an error
+    calls = []
+    for name in ("read_mha", "write_mha"):
+        def spy(*args, _orig=getattr(volio, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(volio, name, spy)
+    write_mha(Volume(np.random.default_rng(5).normal(size=(6, 6, 6))), str(tmp_path / "image.mha"))
+    rc = cli.main([
+        "filter", "--in", str(tmp_path / "image.mha"), "--k", "3",
+        "--out-on", str(tmp_path / "on.mha"), "--out-off", str(tmp_path / "off.mha"),
+    ])
+    assert rc == 0
+    assert calls == ["read_mha", "write_mha", "write_mha"]
 
 
 @pytest.mark.parametrize("file_name, path", [

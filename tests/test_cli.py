@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oocs3d import _strips, errors, perturb, tensor
+from oocs3d import _strips, errors, perturb, tensor, volio
 from oocs3d._strips import STRIP_ROWS
 from oocs3d.cli import main
 from oocs3d.kernels import KernelDerivation, KernelSpec, make_kernel
@@ -513,6 +513,24 @@ class TestPreprocessCommand:
         assert isinstance(got_m, BinaryMask)
         assert got_m.shape == (16, 16, 16)
 
+    @pytest.mark.parametrize("shape, spacing", [
+        ((6, 9, 8), (1.5, 1.0, 1.0)),
+        ((8, 8, 8), (1.0, 1.0, 1.0)),
+        ((6, 9, 8), (1.0, 1.0, 1.0)),
+    ], ids=["shape", "spacing", "both"])
+    def test_misaligned_mask_is_dimension_error(self, shape, spacing, capsys, caplog, tmp_path, monkeypatch):
+        # checked before any operation runs, so nothing is written
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(313)
+        write_mha(Volume(rng.normal(size=(8, 8, 8)), spacing=(1.5, 1.0, 1.0)), "in.mha")
+        write_mha(BinaryMask(rng.random(size=shape) < 0.4, spacing=spacing), "m.mha")
+        rc, _, _ = _run(capsys, "preprocess", "--in", "in.mha", "--out", "out.mha",
+                        "--mask", "m.mha", "--mask-out", "mout.mha",
+                        "--spacing", "1", "1", "1", "--crop", "8", "8", "8")
+        assert rc == 2
+        assert "configuration error: mask 'm.mha' has shape" in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mha", "m.mha"]
+
     def test_mask_without_mask_out_is_usage_error(self, capsys, tmp_path):
         rng = np.random.default_rng(307)
         src = tmp_path / "in.mha"
@@ -598,6 +616,50 @@ class TestOverflowOfFiniteData:
                                          "volume data", (40, 40, 40))
         finally:
             pool.shutdown()
+
+
+def _nonfinite_image(ext):
+    """Write an 8^3 image with one NaN and one +inf outside its centered 4^3 crop; return its `ext` path."""
+    data = np.random.default_rng(331).normal(size=(8, 8, 8))
+    data[0, 0, 0], data[7, 7, 7] = np.nan, np.inf
+    path = "in" + ext
+    if ext == ".mha":
+        write_mha(Volume(np.zeros((8, 8, 8))), path)
+        with open(path, "r+b") as f:
+            f.seek(-data.nbytes, os.SEEK_END)
+            f.write(data.astype("<f8").tobytes())
+    else:
+        write_raw_json(Volume(np.zeros((8, 8, 8))), path)
+        with open("in.raw", "wb") as f:
+            f.write(data.astype("<f8").tobytes())
+    return path
+
+
+class TestNonFiniteFileData:
+    # NaN or inf in an image file is bad data (exit 4) for every command
+    # that reads one, whatever it would do to the values next
+    @pytest.mark.parametrize("ext", [".mha", ".json"])
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--k", "3", "--out-on", "on.mha", "--out-off", "off.mha"],
+        ["perturb", "--kind", "gaussian_blur", "--out", "out.mha"],
+        ["perturb", "--kind", "gaussian_noise", "--out", "out.mha"],
+        ["perturb", "--kind", "motion", "--n", "2", "--out", "out.mha"],
+        ["preprocess", "--spacing", "2", "2", "2", "--out", "out.mha"],
+        ["preprocess", "--zscore", "--out", "out.mha"],
+        ["preprocess", "--crop", "4", "4", "4", "--out", "out.mha"],
+    ], ids=["filter", "gaussian_blur", "gaussian_noise", "motion", "spacing", "zscore", "crop"])
+    def test_nonfinite_file_data_is_numeric_failure(self, argv, ext, capsys, caplog, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        src = _nonfinite_image(ext)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, stdout, stderr = _run(capsys, *argv, "--in", src)
+        assert rc == 4
+        assert [r.getMessage() for r in caplog.records] == [
+            f"numeric failure: volume read from {src!r} contains non-finite values"]
+        assert caught == [] and "Warning" not in stderr and stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 class TestGradcheckCommand:
@@ -692,6 +754,29 @@ class TestTopLevel:
         rc, _, _ = _run(capsys, "eval", "--pred", str(p), "--ref", str(p))
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--k", "3", "--out-on", "on.mha", "--out-off", "off.nii"],
+        ["preprocess", "--zscore", "--out", "out.mha", "--mask", "m.mha", "--mask-out", "mout.nii"],
+        ["perturb", "--kind", "gaussian_blur", "--out", "out.nii"],
+    ], ids=["filter", "preprocess", "perturb"])
+    def test_bad_output_extension_writes_nothing(self, argv, capsys, caplog, tmp_path, monkeypatch):
+        # every output's writer is found before the input is read
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(337)
+        write_mha(Volume(rng.normal(size=(4, 4, 4))), "in.mha")
+        write_mha(BinaryMask(rng.random(size=(4, 4, 4)) < 0.5), "m.mha")
+        reads = []
+
+        def spy(path, _read=volio.read_mha):
+            reads.append(path)
+            return _read(path)
+        monkeypatch.setattr(volio, "read_mha", spy)
+        rc, _, _ = _run(capsys, *argv, "--in", "in.mha")
+        assert rc == 3
+        assert "file error: unrecognized output extension" in caplog.text
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mha", "m.mha"]
+
     def test_payload_outside_header_directory_is_io_error(self, capsys, caplog, tmp_path):
         m = BinaryMask(np.ones((2, 2, 2), dtype=bool))
         (tmp_path / "hdr").mkdir()
@@ -749,31 +834,24 @@ class TestTopLevel:
         assert rc == 3
         assert "sidecar" in caplog.text
 
-    def test_invalid_threads_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("OOCS_THREADS", "zero")
-        rc, _, _ = _run(capsys, "kernel", "--k", "3")
-        assert rc == 2
+    def test_invalid_threads_is_usage_error(self, capsys, caplog):
+        for threads in ("0", "-1"):
+            rc, _, _ = _run(capsys, "--threads", threads, "kernel", "--k", "3")
+            assert rc == 2
+            assert f"thread count must be >= 1, got {threads}" in caplog.text
 
     def test_threads_after_numpy_import_warns(self, capsys, caplog, monkeypatch):
         # in-process main() always runs after numpy is loaded, when the
         # thread pools can no longer be resized; monkeypatch restores the
         # pool variables main() sets
-        for var in ("OOCS_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         with caplog.at_level(logging.WARNING, logger="oocs3d"):
             rc, _, _ = _run(capsys, "--threads", "2", "kernel", "--k", "3")
         assert rc == 0
         assert any("no effect" in r.getMessage() for r in caplog.records)
-        caplog.clear()
-        monkeypatch.setenv("OOCS_THREADS", "2")
-        with caplog.at_level(logging.WARNING, logger="oocs3d"):
-            rc, _, _ = _run(capsys, "kernel", "--k", "3")
-        assert rc == 0
-        assert any("no effect" in r.getMessage() for r in caplog.records)
 
-    def test_unset_threads_does_not_warn(self, capsys, caplog, monkeypatch):
-        monkeypatch.delenv("OOCS_THREADS", raising=False)
+    def test_unset_threads_does_not_warn(self, capsys, caplog):
         with caplog.at_level(logging.WARNING, logger="oocs3d"):
             rc, _, _ = _run(capsys, "kernel", "--k", "3")
         assert rc == 0

@@ -17,7 +17,6 @@ from oocs3d.errors import (
 from oocs3d.kernels import (
     KernelDerivation,
     KernelSpec,
-    balance,
     compute_sigma,
     continuous_balance_check,
     kernel_to_csv,
@@ -26,7 +25,7 @@ from oocs3d.kernels import (
     sample_dog,
 )
 
-from oracles import naive_dog
+from oracles import naive_balance, naive_dog
 
 # Surround radius 1 and 5/3 at the preset ratio 2/3, frozen from a
 # 50-digit evaluation of the closed form.  The 6-decimal roundings seen
@@ -162,31 +161,36 @@ class TestSampleDog:
 
 
 class TestBalance:
-    def test_two_weight_toy_case(self):
-        raw = np.array([[[2.0, -1.0]]])
-        out = balance(raw, 3.0)
-        np.testing.assert_array_equal(out, np.array([[[3.0, -3.0]]]))
+    # make_kernel balances the sampled DoG itself; naive_balance restates
+    # the step on its own and must agree byte for byte
+    @pytest.mark.parametrize("polarity, sign", [("on", 1.0), ("off", -1.0)])
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("k,gamma", DOG_CASES)
+    def test_matches_naive_balance_bytewise(self, k, gamma, dims, polarity, sign):
+        spec = KernelSpec(k=k, gamma=gamma, dims=dims)
+        want = sign * naive_balance(naive_dog(spec), spec.c)
+        assert make_kernel(spec, polarity).weights.tobytes() == want.tobytes()
 
     def test_zeros_stay_exactly_zero(self):
-        raw = np.array([1.0, 0.0, -2.0, 0.0, 3.0])
-        out = balance(raw, 3.0)
-        assert out[1] == 0.0 and out[3] == 0.0
+        # gamma 0.4 puts the sign change at rho = 1, so the six face
+        # neighbours of the center sample to exact zeros
+        spec = KernelSpec(k=5, gamma=0.4)
+        zero = sample_dog(spec) == 0.0
+        assert zero.sum() == 6
+        for polarity in ("on", "off"):
+            assert (make_kernel(spec, polarity).weights[zero] == 0.0).all()
 
     def test_balanced_input_is_near_fixed_point(self):
-        raw = sample_dog(KernelSpec(k=5))
-        once = balance(raw, 3.0)
-        twice = balance(once, 3.0)
-        np.testing.assert_allclose(twice, once, rtol=1e-12, atol=0)
+        once = make_kernel(KernelSpec(k=5)).weights
+        np.testing.assert_allclose(naive_balance(once, 3.0), once, rtol=1e-12, atol=0)
 
     def test_single_signed_input_rejected(self):
-        with pytest.raises(DegenerateKernelError):
-            balance(np.array([1.0, 2.0]), 3.0)
-        with pytest.raises(DegenerateKernelError):
-            balance(np.array([-1.0, 0.0]), 3.0)
-
-    def test_c_below_one_rejected(self):
-        with pytest.raises(DomainError):
-            balance(np.array([1.0, -1.0]), 0.5)
+        # at this gamma every sampled value is positive or snapped to zero
+        spec = KernelSpec(k=3, gamma=1e-6)
+        assert (sample_dog(spec) >= 0.0).all()
+        with pytest.raises(DegenerateKernelError) as info:
+            make_kernel(spec)
+        assert info.value.exit_code == 4
 
 
 class TestMakeKernel:

