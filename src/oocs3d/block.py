@@ -16,6 +16,10 @@ and as -R to the Off one; -R is an exact negation, so Off stays
 bit-exactly antisymmetric.  For the same reason the backward pass sends
 one single-channel map through the flipped kernel.
 
+Every shape, and P, comes from the parameters.  A config that does not
+describe them raises DimensionError, and the backward pass refuses any
+parameters but the ones its cache was made with.
+
 The fixed kernels are excluded from every gradient path: the backward
 pass produces no entry for them at all, so the block trains exactly as
 many parameters as the same two-pathway block without the injections.
@@ -55,8 +59,6 @@ class OocsBlockConfig:
     c_out: int
     k_learn: int = 3
     k_oocs: int = 3
-    gamma: float = 2.0 / 3.0
-    c: float = 3.0
 
     def __post_init__(self):
         if self.c_in < 1:
@@ -67,25 +69,10 @@ class OocsBlockConfig:
             raise ConfigError(f"k_learn must be odd and >= 1, got {self.k_learn}")
         if self.k_oocs not in (3, 5):
             raise ConfigError(f"k_oocs must be 3 or 5, got {self.k_oocs}")
-        # delegates gamma/c range checks
-        self.kernel_spec()
 
     @property
     def c_half(self) -> int:
         return self.c_out // 2
-
-    def kernel_spec(self) -> KernelSpec:
-        return KernelSpec(k=self.k_oocs, gamma=self.gamma, c=self.c, dims=3)
-
-
-def lift_kernel(kernel: np.ndarray, c_in: int, c_out: int) -> ConvWeights:
-    """Lift one (k, k, k) kernel to (c_out, c_in) conv weights.
-
-    Every (o, i) pair carries the same kernel scaled by 1/c_in, so a
-    channel-constant input produces the plain single-channel response on
-    every output channel.  No bias.
-    """
-    return ConvWeights(np.broadcast_to(kernel / c_in, (c_out, c_in) + kernel.shape))
 
 
 @dataclass(frozen=True)
@@ -113,13 +100,18 @@ class OocsBlockParams:
 
     @property
     def fixed_on(self) -> ConvWeights:
-        """K lifted onto the first conv's channel shape, as a multichannel conv would apply it."""
-        return lift_kernel(self.on_kernel.data[0, 0], self.w1_on.c_in, self.w1_on.c_out)
+        """P broadcast to (c_out/2, c_in, k, k, k), the On injection as a multichannel conv would apply it."""
+        return ConvWeights(np.broadcast_to(_p(self), self.w1_on.data.shape[:2] + self.on_kernel.data.shape[2:]))
 
     @property
     def fixed_off(self) -> ConvWeights:
-        """-K lifted onto the first conv's channel shape; the exact negation of `fixed_on`."""
-        return lift_kernel(-self.on_kernel.data[0, 0], self.w1_on.c_in, self.w1_on.c_out)
+        """-P broadcast like `fixed_on`; its exact negation."""
+        return ConvWeights(np.broadcast_to(-_p(self), self.w1_on.data.shape[:2] + self.on_kernel.data.shape[2:]))
+
+
+def _p(params: OocsBlockParams) -> np.ndarray:
+    """P = K / c_in as (1, 1, k, k, k): the kernel each lifted (output, input) channel pair holds."""
+    return params.on_kernel.data / params.w1_on.c_in
 
 
 @dataclass(frozen=True)
@@ -166,12 +158,21 @@ def init_block_params(cfg: OocsBlockConfig, seed: int) -> OocsBlockParams:
     w1_off = ConvWeights(draw((ch, cfg.c_in, k, k, k), fan1), draw((ch,), fan1))
     w2_on = ConvWeights(draw((ch, ch, k, k, k), fan2), draw((ch,), fan2))
     w2_off = ConvWeights(draw((ch, ch, k, k, k), fan2), draw((ch,), fan2))
-    on_kernel = ConvWeights(make_kernel(cfg.kernel_spec(), "on").weights[None, None])
+    on_kernel = ConvWeights(make_kernel(KernelSpec(k=cfg.k_oocs), "on").weights[None, None])
     return OocsBlockParams(w1_on, w1_off, w2_on, w2_off, on_kernel)
 
 
 def _relu(arr: np.ndarray) -> np.ndarray:
     return _seal(np.maximum(arr, 0.0))
+
+
+def _check_config(params: OocsBlockParams, cfg: OocsBlockConfig) -> None:
+    """Raise DimensionError unless `cfg` describes `params`, whose own check ties each Off conv to its On twin."""
+    w1 = params.w1_on.data.shape  # (c_out/2, c_in, k, k, k)
+    got = (w1[1], 2 * w1[0], w1[2], params.w2_on.data.shape[2], params.on_kernel.data.shape[2])
+    if got != (cfg.c_in, cfg.c_out, cfg.k_learn, cfg.k_learn, cfg.k_oocs):
+        raise DimensionError(f"params do not match the block config: params have (c_in, c_out, k_learn, "
+                             f"second conv's k_learn, k_oocs) = {got}, config is {cfg}")
 
 
 def block_forward(
@@ -192,10 +193,9 @@ def block_forward(
     The result is byte-identical to a forward without `base`, which is
     the same code with no stage reused.
     """
-    if x.channels != cfg.c_in:
-        raise DimensionError(f"input has {x.channels} channels, block expects {cfg.c_in}")
-    if params.w1_on.c_in != cfg.c_in or params.w1_on.c_out != cfg.c_half:
-        raise DimensionError("params do not match the block config")
+    _check_config(params, cfg)
+    if x.channels != params.w1_on.c_in:
+        raise DimensionError(f"input has {x.channels} channels, block expects {params.w1_on.c_in}")
     keep_r = base is not None and x is base.x and params.on_kernel is base.params.on_kernel
     keep1_on = keep_r and params.w1_on is base.params.w1_on
     keep1_off = keep_r and params.w1_off is base.params.w1_off
@@ -205,7 +205,7 @@ def block_forward(
         r = base.r
     else:
         x_sum = FeatureMap(_seal(x.data.sum(axis=0, keepdims=True)))
-        r = conv3d_forward(x_sum, ConvWeights(params.on_kernel.data / cfg.c_in)).data
+        r = conv3d_forward(x_sum, ConvWeights(_p(params))).data
     pre1_on = base.pre1_on if keep1_on else conv3d_forward(x, params.w1_on).data + r
     pre1_off = base.pre1_off if keep1_off else conv3d_forward(x, params.w1_off).data - r
     pre2_on = base.pre2_on if keep2_on else conv3d_forward(FeatureMap(_relu(pre1_on)), params.w2_on).data
@@ -226,13 +226,16 @@ def block_backward(
     part is the adjoint of the shared response R: the map
     sum_o g_pre1_on[o] - sum_o g_pre1_off[o], correlated with P flipped on
     all three spatial axes, added to every input channel.
+
+    `params` must be `cache.params`, the object the forward ran with.
     """
-    ch = cfg.c_half
-    spatial = cache.x.data.shape[1:]
-    if grad_y.data.shape != (cfg.c_out,) + spatial:
-        raise DimensionError(
-            f"grad_y shape {grad_y.data.shape} does not match block output {(cfg.c_out,) + spatial}"
-        )
+    if params is not cache.params:
+        raise ConfigError("params are not the ones the cached forward ran with")
+    _check_config(params, cfg)
+    ch = params.w1_on.c_out
+    out_shape = (2 * ch,) + cache.x.data.shape[1:]
+    if grad_y.data.shape != out_shape:
+        raise DimensionError(f"grad_y shape {grad_y.data.shape} does not match block output {out_shape}")
 
     def half_backward(g_a2, pre2, pre1, w2, w1):
         g_pre2 = _seal(g_a2 * (pre2 > 0.0))
@@ -247,7 +250,7 @@ def block_backward(
     gx_off, s_off, g_w1_off, g_w2_off = half_backward(
         grad_y.data[ch:], cache.pre2_off, cache.pre1_off, params.w2_off, params.w1_off
     )
-    flipped = ConvWeights((params.on_kernel.data / cfg.c_in)[..., ::-1, ::-1, ::-1])
+    flipped = ConvWeights(_p(params)[..., ::-1, ::-1, ::-1])
     gx_fixed = conv3d_forward(FeatureMap(_seal(s_on - s_off)[None]), flipped).data
     grads = BlockGrads(w1_on=g_w1_on, w1_off=g_w1_off, w2_on=g_w2_on, w2_off=g_w2_off)
     return FeatureMap(_seal(gx_on + gx_off + gx_fixed)), grads

@@ -12,11 +12,14 @@ handler imports the package's numeric modules lazily.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import logging
 import os
+import shutil
 import sys
+import tempfile
 
 from .errors import ConfigError, DimensionError, OocsError, UndefinedDistanceError, UnsupportedFormatError
 
@@ -62,6 +65,34 @@ def _writer(path: str):
     if ext == ".json":
         return volio.write_raw_json
     raise UnsupportedFormatError(f"unrecognized output extension on {path!r} (use .mha or .json)")
+
+
+def _write_all(outputs) -> None:
+    """Write each (writer, obj, path); no output reaches its path unless every write succeeded.
+
+    Each is written under its own name into a temporary directory beside
+    its path, so a sidecar's raw_file still names its payload.  After the
+    last write, every old file at an output's name is unlinked, so a
+    directory there fails before any output lands, and then the new files
+    are renamed into place.  Unlinking first also spares a write-back:
+    ext4 (auto_da_alloc) writes a file to disk at once when it is renamed
+    over another, and not when its name is new.
+    """
+    staged = []
+    try:
+        for write, obj, path in outputs:
+            staged.append(tempfile.mkdtemp(prefix=".oocs3d-", dir=os.path.dirname(os.path.abspath(path))))
+            write(obj, os.path.join(staged[-1], os.path.basename(path)))
+        moves = [(os.path.join(tmp, name), os.path.join(os.path.dirname(tmp), name))
+                 for tmp in staged for name in os.listdir(tmp)]
+        for _, dest in moves:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(dest)
+        for src, dest in moves:
+            os.rename(src, dest)
+    finally:
+        for tmp in staged:
+            shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _read_mask(path: str):
@@ -116,9 +147,9 @@ def _cmd_filter(args) -> int:
     v = _read_volume(args.image)
     w = ConvWeights(make_kernel(spec, "on").weights[None, None])
     on = conv3d_forward(FeatureMap(v.data[None]), w, padding=args.padding)
-    write_on(Volume(on.data[0], v.spacing), args.out_on)
     # the Off kernel is the exact negation of the On kernel, so is its response
-    write_off(Volume(_seal(-on.data[0]), v.spacing), args.out_off)
+    _write_all([(write_on, Volume(on.data[0], v.spacing), args.out_on),
+                (write_off, Volume(_seal(-on.data[0]), v.spacing), args.out_off)])
     return 0
 
 
@@ -149,7 +180,7 @@ def _cmd_perturb(args) -> int:
         out = gaussian_noise(v, args.sigma, args.seed)
     else:
         out = motion_artifact(v, args.n, args.max_rot, args.max_trans, args.seed)
-    write(out, args.out)
+    _write_all([(write, out, args.out)])
     return 0
 
 
@@ -178,9 +209,8 @@ def _cmd_preprocess(args) -> int:
         v = pp.crop_or_pad(v, args.crop)
         if m is not None:
             m = pp.crop_or_pad_mask(m, args.crop)
-    write_image(v, args.out)
-    if m is not None:
-        write_mask(m, args.mask_out)
+    masks = [] if m is None else [(write_mask, m, args.mask_out)]
+    _write_all([(write_image, v, args.out)] + masks)
     return 0
 
 

@@ -4,9 +4,9 @@ Each class carries the CLI exit code it ends in, as `exit_code`:
 
     2  configuration problems: OocsError, ConfigError, DimensionError,
        InvalidKernelError, DomainError
-    3  file and OS problems: VolumeIoError, UnsupportedFormatError,
-       CorruptFileError (and any OSError, or a MemoryError: an
-       allocation below tensor.MAX_ELEMENTS the machine cannot serve)
+    3  file and OS problems: UnsupportedFormatError, CorruptFileError
+       (and any OSError, or a MemoryError: an allocation below
+       tensor.MAX_ELEMENTS the machine cannot serve)
     4  data-dependent numeric failures: DegenerateKernelError,
        NormalizationError, ResampleError, UndefinedDistanceError,
        NonFiniteError
@@ -65,15 +65,13 @@ class NonFiniteError(DomainError):
     exit_code = 4
 
 
-class VolumeIoError(OocsError):
-    """Base class for file-format problems."""
+class UnsupportedFormatError(OocsError):
+    """File uses a feature outside the supported format subset."""
 
     exit_code = 3
 
 
-class UnsupportedFormatError(VolumeIoError):
-    """File uses a feature outside the supported format subset."""
-
-
-class CorruptFileError(VolumeIoError):
+class CorruptFileError(OocsError):
     """Header and payload disagree, or the payload is unreadable."""
+
+    exit_code = 3

@@ -14,6 +14,7 @@ correspondingly tight.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -126,26 +127,22 @@ def block_gradient_check(
 
 
 def run_gradcheck_grid(
-    k_oocs=(3, 5),
-    c_in=(1, 2),
-    c_out=(4, 8),
     seeds=(0, 1),
     h: float = 1e-5,
     n_dirs: int = 3,
     spatial: tuple[int, int, int] = (6, 6, 6),
     tol: float = 1e-5,
 ) -> list[GradCheckCase]:
-    """Run the check over the full shape grid; one row per (config, seed).
+    """Run the check on each (k_oocs, c_in, c_out) in (3, 5) x (1, 2) x (4, 8) and each seed.
 
-    A grid with an empty axis has no case and raises DomainError.
+    Rows come in that nesting order, seeds innermost.  No seed means no
+    case, and raises DomainError.
     """
     rows = []
-    for k in k_oocs:
-        for ci in c_in:
-            for co in c_out:
-                cfg = OocsBlockConfig(c_in=ci, c_out=co, k_oocs=k)
-                for seed in seeds:
-                    rows.append(block_gradient_check(cfg, seed, h=h, n_dirs=n_dirs, spatial=spatial, tol=tol))
+    for k, ci, co in itertools.product((3, 5), (1, 2), (4, 8)):
+        cfg = OocsBlockConfig(c_in=ci, c_out=co, k_oocs=k)
+        for seed in seeds:
+            rows.append(block_gradient_check(cfg, seed, h=h, n_dirs=n_dirs, spatial=spatial, tol=tol))
     if not rows:
-        raise DomainError("the gradient-check grid has no case: every axis needs at least one value")
+        raise DomainError("the gradient-check grid has no case: give at least one seed")
     return rows

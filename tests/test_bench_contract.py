@@ -10,14 +10,17 @@ literals; nothing under bench/ is imported or edited.
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oocs3d import cli, preprocess, volio
-from oocs3d.block import BlockGrads, OocsBlockConfig, OocsBlockParams, init_block_params
-from oocs3d.gradcheck import GradCheckCase
+from oocs3d.block import (
+    BlockGrads, OocsBlockConfig, OocsBlockParams, block_backward, block_forward, init_block_params,
+)
+from oocs3d.gradcheck import GradCheckCase, block_gradient_check, run_gradcheck_grid
 from oocs3d.tensor import BinaryMask, ConvWeights, Volume
 from oocs3d.volio import write_mha
 
@@ -128,3 +131,26 @@ def test_gradcheck_case_fields_read_by_the_grid_workload(file_name, path):
     read = _row_attributes(file_name, *path)
     assert read
     assert read <= {f.name for f in dataclasses.fields(GradCheckCase)}
+
+
+# the library callables bench/workloads.py calls, by the attribute name it calls them through
+CALLED = {f.__name__: f for f in (OocsBlockConfig, block_forward, block_backward, run_gradcheck_grid,
+                                  block_gradient_check)}
+
+
+@pytest.mark.parametrize("name", list(CALLED))
+def test_benchmark_calls_bind_to_the_library_signatures(name):
+    # a deleted field or parameter the benchmark passes, by position or
+    # by keyword, fails here rather than in the benchmark run
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    calls = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == name]
+    assert calls, f"bench/workloads.py makes no {name} call"
+    signature = inspect.signature(CALLED[name])
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        try:
+            signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"bench/workloads.py:{call.lineno} calls {name}{signature}: {exc}")

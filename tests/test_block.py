@@ -12,7 +12,6 @@ from oocs3d.block import (
     block_forward,
     init_block_params,
     learnable_param_count,
-    lift_kernel,
 )
 from oocs3d.errors import ConfigError, DimensionError
 from oocs3d.kernels import KernelSpec, make_kernel
@@ -53,17 +52,22 @@ class TestConfig:
             OocsBlockConfig(c_in=1, c_out=4, k_learn=4)
 
     def test_half_width_and_spec(self):
+        # the fixed On kernel is the default-spec balanced kernel of size k_oocs
         cfg = OocsBlockConfig(c_in=2, c_out=8, k_oocs=5)
         assert cfg.c_half == 4
-        assert cfg.kernel_spec() == KernelSpec(k=5, gamma=cfg.gamma, c=cfg.c, dims=3)
+        kernel = make_kernel(KernelSpec(k=5), "on").weights
+        assert init_block_params(cfg, seed=0).on_kernel.data.tobytes() == kernel[None, None].tobytes()
 
 
 class TestLiftKernel:
+    """The lifted views `fixed_on` and `fixed_off` of the stored kernel."""
+
     def test_single_channel_is_plain_kernel(self):
-        kern = make_kernel(KernelSpec(k=3))
-        w = lift_kernel(kern.weights, 1, 1)
+        params = init_block_params(OocsBlockConfig(c_in=1, c_out=2), seed=0)
+        w = params.fixed_on
         assert w.bias is None
-        np.testing.assert_array_equal(w.data[0, 0], kern.weights)
+        assert w.data.shape == (1, 1, 3, 3, 3)
+        np.testing.assert_array_equal(w.data[0, 0], make_kernel(KernelSpec(k=3)).weights)
 
     def test_lifted_response_averages_channels(self):
         # with every input channel identical, the lifted conv must equal
@@ -76,14 +80,16 @@ class TestLiftKernel:
         ).data[0]
         for c_in in (2, 3):
             x = FeatureMap(np.stack([base] * c_in))
-            lifted = lift_kernel(kern.weights, c_in, 2)
-            out = conv3d_forward(x, lifted).data
-            for ch in range(2):
-                np.testing.assert_allclose(out[ch], single, rtol=1e-12, atol=1e-12)
+            params = init_block_params(OocsBlockConfig(c_in=c_in, c_out=4), seed=0)
+            for sign, lifted in ((1.0, params.fixed_on), (-1.0, params.fixed_off)):
+                out = conv3d_forward(x, lifted).data
+                for ch in range(2):
+                    np.testing.assert_allclose(out[ch], sign * single, rtol=1e-12, atol=1e-12)
 
     def test_lifted_taps_sum_near_zero(self):
-        kern = make_kernel(KernelSpec(k=5))
-        w = lift_kernel(kern.weights, 3, 4)
+        params = init_block_params(OocsBlockConfig(c_in=3, c_out=8, k_oocs=5), seed=0)
+        w = params.fixed_on
+        assert w.data.shape == (4, 3, 5, 5, 5)
         sums = w.data.reshape(4, -1).sum(axis=1)
         assert np.abs(sums).max() < 1e-9
 
@@ -94,7 +100,7 @@ class TestParams:
     def test_lifted_views_derive_from_the_stored_kernel(self, c_in, c_out, k_oocs):
         cfg = OocsBlockConfig(c_in=c_in, c_out=c_out, k_oocs=k_oocs)
         params = init_block_params(cfg, seed=29)
-        kernel = make_kernel(cfg.kernel_spec(), "on").weights
+        kernel = make_kernel(KernelSpec(k=k_oocs), "on").weights
         assert params.on_kernel.data.tobytes() == kernel[None, None].tobytes()
         on, off = params.fixed_on, params.fixed_off
         assert on.data.shape == off.data.shape == (c_out // 2, c_in) + (k_oocs,) * 3
@@ -333,6 +339,41 @@ class TestBackward:
         _, cache = block_forward(x, params, cfg)
         with pytest.raises(DimensionError):
             block_backward(FeatureMap(np.zeros((4, 4, 4, 4))), cache, params, cfg)
+
+
+class TestConfigMustDescribeParams:
+    """Every shape comes from the parameters; a config or params object that disagrees raises."""
+
+    @staticmethod
+    def _forward():
+        cfg = OocsBlockConfig(c_in=2, c_out=4)
+        params = init_block_params(cfg, seed=5)
+        x = FeatureMap(make_rng(5).normal(size=(2, 5, 5, 5)))
+        y, cache = block_forward(x, params, cfg)
+        return cfg, params, x, FeatureMap(np.ones_like(y.data)), cache
+
+    @pytest.mark.parametrize("field, value", [("c_in", 3), ("c_out", 8), ("k_learn", 5), ("k_oocs", 5)])
+    def test_backward_refuses_another_config(self, field, value):
+        cfg, params, _, g, cache = self._forward()
+        with pytest.raises(DimensionError, match="params do not match") as exc:
+            block_backward(g, cache, params, dataclasses.replace(cfg, **{field: value}))
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("other", ["other_seed", "equal_copy"])
+    def test_backward_refuses_params_other_than_the_cached(self, other):
+        # identity, not equal values: a copy is another object too
+        cfg, params, _, g, cache = self._forward()
+        wrong = init_block_params(cfg, seed=6) if other == "other_seed" else dataclasses.replace(params)
+        with pytest.raises(ConfigError, match="cached forward") as exc:
+            block_backward(g, cache, wrong, cfg)
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("field, value", [("k_learn", 5), ("k_oocs", 5)])
+    def test_forward_refuses_a_config_of_other_kernel_sizes(self, field, value):
+        cfg, params, x, _, _ = self._forward()
+        with pytest.raises(DimensionError, match="params do not match") as exc:
+            block_forward(x, params, dataclasses.replace(cfg, **{field: value}))
+        assert exc.value.exit_code == 2
 
 
 class TestParameterLedger:

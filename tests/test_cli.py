@@ -777,6 +777,65 @@ class TestTopLevel:
         assert reads == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mha", "m.mha"]
 
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--k", "3", "--out-on", "on.mha", "--out-off", "nodir/off.mha"],
+        ["filter", "--k", "3", "--out-on", "on.json", "--out-off", "nodir/off.json"],
+        ["preprocess", "--zscore", "--out", "pre.json", "--mask", "m.mha", "--mask-out", "nodir/pm.mha"],
+        ["preprocess", "--zscore", "--out", "pre.mha", "--mask", "m.mha", "--mask-out", "nodir/pm.json"],
+    ], ids=["filter-mha", "filter-json", "preprocess-json", "preprocess-mha"])
+    def test_unwritable_later_output_leaves_no_earlier_one(self, argv, capsys, caplog, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(339)
+        write_mha(Volume(rng.normal(size=(4, 4, 4))), "in.mha")
+        write_mha(BinaryMask(rng.random(size=(4, 4, 4)) < 0.5), "m.mha")
+        rc, _, _ = _run(capsys, *argv, "--in", "in.mha")
+        assert rc == 3
+        assert "file error" in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mha", "m.mha"]
+
+    def test_directory_at_later_output_leaves_no_earlier_one(self, capsys, caplog, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_mha(Volume(np.random.default_rng(345).normal(size=(4, 4, 4))), "in.mha")
+        (tmp_path / "off.json").mkdir()
+        rc, _, _ = _run(capsys, "filter", "--in", "in.mha", "--k", "3", "--out-on", "on.mha", "--out-off", "off.json")
+        assert rc == 3
+        assert "file error" in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mha", "off.json"]
+        assert not any((tmp_path / "off.json").iterdir())
+
+    @pytest.mark.parametrize("ext", ["mha", "json"])
+    def test_write_failing_midway_leaves_nothing(self, ext, capsys, caplog, tmp_path, monkeypatch):
+        # the second writer gets its files out, then fails as on a full disk
+        monkeypatch.chdir(tmp_path)
+        write_mha(Volume(np.random.default_rng(341).normal(size=(4, 4, 4))), "in.mha")
+        name = "write_mha" if ext == "mha" else "write_raw_json"
+        written = []
+
+        def second_fails(obj, path, _write=getattr(volio, name)):
+            _write(obj, path)
+            written.append(path)
+            if len(written) == 2:
+                raise OSError(28, "No space left on device")
+        monkeypatch.setattr(volio, name, second_fails)
+        rc, _, _ = _run(capsys, "filter", "--in", "in.mha", "--k", "3",
+                        "--out-on", f"on.{ext}", "--out-off", f"off.{ext}")
+        assert rc == 3
+        assert "No space left on device" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["in.mha"]
+
+    def test_outputs_land_under_their_own_names(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_mha(Volume(np.random.default_rng(343).normal(size=(4, 4, 4))), "in.mha")
+        (tmp_path / "sub").mkdir()
+        for _ in range(2):  # the second run replaces the first one's files
+            rc, _, _ = _run(capsys, "filter", "--in", "in.mha", "--k", "3",
+                            "--out-on", "on.json", "--out-off", "sub/off.mha")
+            assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mha", "on.json", "on.raw", "sub"]
+        assert [p.name for p in (tmp_path / "sub").iterdir()] == ["off.mha"]
+        on, off = read_raw_json("on.json"), read_mha("sub/off.mha")
+        assert off.data.tobytes() == (-on.data).tobytes()
+
     def test_payload_outside_header_directory_is_io_error(self, capsys, caplog, tmp_path):
         m = BinaryMask(np.ones((2, 2, 2), dtype=bool))
         (tmp_path / "hdr").mkdir()

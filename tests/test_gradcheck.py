@@ -85,7 +85,7 @@ class TestStageReuse:
     def test_rows_equal_those_of_full_forwards(self, monkeypatch):
         # each probe's forward starts from the base point's cache; dropping
         # that cache, so every probe runs all five convs, must change no row
-        grid = dict(k_oocs=(3, 5), c_in=(1, 2), c_out=(4,), seeds=(0,), n_dirs=2, spatial=(5, 5, 5))
+        grid = dict(seeds=(0,), n_dirs=2, spatial=(5, 5, 5))
         convs = []
         real_conv = block.conv3d_forward
 
@@ -104,16 +104,13 @@ class TestStageReuse:
 
 class TestGrid:
     def test_row_per_config_and_seed(self):
-        rows = run_gradcheck_grid(
-            k_oocs=(3,), c_in=(1, 2), c_out=(4,), seeds=(0, 1),
-            n_dirs=1, spatial=(5, 5, 5),
-        )
-        assert len(rows) == 4
+        # the fixed (k_oocs, c_in, c_out) grid, nested in that order, seeds innermost
+        rows = run_gradcheck_grid(seeds=(0, 1), n_dirs=1, spatial=(5, 5, 5))
         assert all(r.passed for r in rows)
-        keys = {(r.k_oocs, r.c_in, r.c_out, r.seed) for r in rows}
-        assert len(keys) == 4
+        keys = [(r.k_oocs, r.c_in, r.c_out, r.seed) for r in rows]
+        assert keys == [(k, ci, co, s) for k in (3, 5) for ci in (1, 2) for co in (4, 8) for s in (0, 1)]
 
-    @pytest.mark.parametrize("axis", ["k_oocs", "c_in", "c_out", "seeds"])
+    @pytest.mark.parametrize("axis", ["seeds"])
     def test_empty_grid_rejected(self, axis):
         with pytest.raises(DomainError, match="no case"):
             run_gradcheck_grid(**{axis: ()})
