@@ -1,14 +1,18 @@
 """One shared thread pool that runs work over fixed-size row strips.
 
-A strip is STRIP_ROWS consecutive indices of one axis (the last strip
-may be shorter).  The strip size never depends on the worker count, so
+A strip is a run of consecutive indices of one axis (the last strip may
+be shorter): STRIP_ROWS of them for the blur and motion passes, and the
+rows of the conv engine's lowering budget for its correlations (see
+`tensor._tiles`).  The strip size never depends on the worker count, so
 each strip computes the same floats whichever thread runs it, and a
-result is byte-identical at any count; with one worker the same strips
-run on the calling thread alone.
+result is byte-identical at any count; with one worker or one strip the
+same strips run on the calling thread alone.
 
 Callers allocate every volume-sized array before handing strips to the
 pool: memory that pool threads allocate lands in their own allocator
-arenas and stays with the process.
+arenas and stays with the process.  A strip may allocate its own
+scratch, such as a conv strip's lowering buffer, held to
+`tensor._COL_BYTES` unless one row needs more.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(thread_count() - 1, thread_name_prefix="oocs3d-strip")
 
 
-def for_strips(n_rows: int, fn) -> None:
-    """Call fn(rows) for each strip `rows` (a slice) of range(n_rows); return when all are done.
+def for_strips(n_rows: int, fn, rows: int = STRIP_ROWS) -> None:
+    """Call fn(strip) for each strip (a slice of `rows` indices) of range(n_rows); return when all are done.
 
     The calling thread and up to thread_count() - 1 pool threads take
     strips from one queue until it is empty; with one worker or one
@@ -53,13 +57,16 @@ def for_strips(n_rows: int, fn) -> None:
     own exception propagates, else a pool thread's, once every worker
     has stopped.
     """
-    starts = range(0, n_rows, STRIP_ROWS)
-    strips = iter([slice(y, min(y + STRIP_ROWS, n_rows)) for y in starts])
+    if n_rows <= rows:  # one strip: nothing to share
+        fn(slice(0, n_rows))
+        return
+    starts = range(0, n_rows, rows)
+    strips = iter([slice(y, min(y + rows, n_rows)) for y in starts])
 
     def drain():
         try:
-            for rows in strips:  # next() on a list iterator is atomic under the GIL
-                fn(rows)
+            for strip in strips:  # next() on a list iterator is atomic under the GIL
+                fn(strip)
         except BaseException:
             for _ in strips:
                 pass

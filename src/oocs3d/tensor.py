@@ -15,18 +15,22 @@ Conventions, fixed once for the whole package:
   and the lowered slices are gathered through a read-only strided view
   of that buffer (or of the input itself when nothing is padded);
 * convolutions are matrix products done by BLAS on slice-wise lowered
-  input (memory-efficient convolution, Cho & Brand 2017; see
-  `_windows`): each input slice's (c, ky, kx) taps are copied once, and
-  one output slice's columns are k consecutive lowered slices, with the
-  taps in (kz, c, ky, kx) order.  There is one product per output slice
-  of each window.  Results are byte-identical from run to run at a fixed
-  BLAS thread count.  The summation order inside a product is BLAS's
-  choice, which may depend on the product's shape, so another thread
-  count, BLAS build or strip size may change the last bits (the tests
-  check that 1 and 2 threads agree byte for byte).  The weight gradient
-  is accumulated transposed, as (taps, C_out): one partial sum per
-  output slice, each the slice's columns times its output gradient, in
-  window order and slice order within a window, so the split sets its
+  input (memory-efficient convolution, Cho & Brand 2017; see `_tiles`
+  and `_strip_windows`): each input slice's (c, ky, kx) taps are copied
+  once, and one output slice's columns are k consecutive lowered slices,
+  with the taps in (kz, c, ky, kx) order.  There is one product per
+  output slice of each window.  The output's row strips run on the
+  shared strip pool (`_strips.for_strips`), each into its own rows, for
+  the forward and the input gradient alike; the split depends on the
+  shapes alone, so a strip's products are the same whichever thread
+  runs it.  Results are byte-identical from run to run at a fixed
+  thread count.  The summation order inside a product is BLAS's choice,
+  which may depend on the product's shape, so another BLAS build or
+  strip size may change the last bits (the tests check that 1, 2 and 5
+  threads agree byte for byte).  The weight gradient is accumulated
+  transposed, as (taps, C_out), on the calling thread: one partial sum
+  per output slice, each the slice's columns times its output gradient,
+  in window order and slice order within a window, so the split sets its
   order of partial sums too.  Negating the weights negates every partial
   sum, so an Off response is bit-exactly minus its On response.
 
@@ -46,6 +50,7 @@ import math
 
 import numpy as np
 
+from ._strips import for_strips
 from .errors import DimensionError, DomainError, InvalidKernelError, NonFiniteError
 
 PAD_SAME = "same_zero"
@@ -268,55 +273,76 @@ def _pad(a: np.ndarray, m: tuple[int, int, int]) -> np.ndarray:
     return out
 
 
-def _windows(xp: np.ndarray, k: int, out_shape):
-    """Yield (output slices, output rows, columns) over the output, one window at a time.
+def _tiles(xp: np.ndarray, k: int, out_shape):
+    """The lowering's source view and split: (read-only view, rows per strip, slices per buffer).
 
     Slice-wise lowering (Cho & Brand, MEC, 2017): the output is cut into
     strips of whole output rows, and each strip slides down depth.  The
     (c, ky, kx, rows, W) taps of each padded input slice are copied once
-    into one buffer, read through a read-only (z, c, ky, kx, y, x) view
-    built on the contiguous `xp` from its own strides.  Output slice z
-    reads lowered slices z .. z + k - 1, which lie back to back in the
-    buffer, so a window of n output slices is the strided
-    (n, k * c * k * k, rows * W) view of the buffer whose taps run in
-    (kz, c, ky, kx) order; consecutive output slices share k - 1 lowered
-    slices.  Before the next window of a strip, its last k - 1 lowered
-    slices are carried to the front of the buffer.
+    into the strip's buffer, read through the returned (z, c, ky, kx, y, x)
+    view built on the contiguous `xp` from its own strides.
 
-    The buffer is held to `_COL_BYTES`: a strip is as many rows as let it
-    hold 3k - 2 lowered slices (at least one row, at most the slice), so a
-    window covers 2k - 1 output slices or more (or the whole depth) and
-    the carry copies less than half of what the window lowers; a window
-    then covers as many slices as the buffer holds beyond the k - 1
-    carried.  A single row that needs more keeps k lowered slices and
-    exceeds the budget.  Windows are yielded strip by strip, top to
-    bottom, and down depth within a strip.  All windows share the buffer,
-    so a yielded view is only valid until the next one is drawn.
+    Each strip's buffer is held to `_COL_BYTES`: a strip is as many rows as
+    let it hold 3k - 2 lowered slices (at least one row, at most the
+    slice), so a window covers 2k - 1 output slices or more (or the whole
+    depth) and the carry copies less than half of what the window lowers;
+    the buffer then holds as many slices as fit in the budget, at least k.
+    A single row that needs more keeps k lowered slices and exceeds the
+    budget.  The split depends on the shapes alone, never on the thread
+    count.
     """
     d, h, w = out_shape
     c = xp.shape[0]
     sc, sz, sy, sx = xp.strides
     low = np.ndarray((xp.shape[1], c, k, k, h, w), xp.dtype, xp, 0, (sz, sc, sy, sx, sy, sx))
-    low.flags.writeable = False
-    taps = c * k * k
-    row = taps * w * 8
+    low.setflags(write=False)
+    row = c * k * k * w * 8
     rows = max(1, min(h, _COL_BYTES // ((3 * k - 2) * row)))
     slices = max(k, min(d + k - 1, _COL_BYTES // (rows * row)))
+    return low, rows, slices
+
+
+def _strip_windows(low: np.ndarray, d: int, ys: slice, slices: int):
+    """Yield (output slices, columns) for output rows `ys`, one window at a time down depth.
+
+    The strip lowers into a buffer of its own, of `slices` lowered slices.
+    Output slice z reads lowered slices z .. z + k - 1, which lie back to
+    back in the buffer, so a window of n output slices is the strided
+    (n, k * c * k * k, rows * W) view of the buffer whose taps run in
+    (kz, c, ky, kx) order; consecutive output slices share k - 1 lowered
+    slices.  A window covers as many slices as the buffer holds beyond the
+    k - 1 carried; before the next window, its last k - 1 lowered slices
+    are carried to the front of the buffer.  All windows of the strip share
+    its buffer, so a yielded view is only valid until the next one is drawn.
+    """
+    _, c, k, _, _, w = low.shape
+    r = ys.stop - ys.start
+    block = c * k * k * r * w
+    lowered = np.empty((slices, c, k, k, r, w))
     per_window = slices - k + 1
-    buf = np.empty(slices * taps * rows * w)
-    for y in range(0, h, rows):
-        r = min(rows, h - y)
-        block = taps * r * w
-        lowered = buf[:slices * block].reshape(slices, c, k, k, r, w)
-        held = 0
-        for z in range(0, d, per_window):
-            n = min(per_window, d - z)
-            carried = min(held, k - 1)
+    held = 0
+    for z in range(0, d, per_window):
+        n = min(per_window, d - z)
+        carried = min(held, k - 1)
+        if carried:  # an empty slice assignment still costs about a microsecond
             lowered[:carried] = lowered[held - carried:held]
-            held = n + k - 1
-            np.copyto(lowered[carried:held], low[z + carried:z + held, :, :, :, y:y + r])
-            cols = np.ndarray((n, k * taps, r * w), buf.dtype, buf, 0, (block * 8, r * w * 8, 8))
-            yield slice(z, z + n), slice(y, y + r), cols
+        held = n + k - 1
+        np.copyto(lowered[carried:held], low[z + carried:z + held, :, :, :, ys])
+        cols = np.ndarray((n, k * c * k * k, r * w), lowered.dtype, lowered, 0, (block * 8, r * w * 8, 8))
+        yield slice(z, z + n), cols
+
+
+def _windows(xp: np.ndarray, k: int, out_shape):
+    """Yield (output slices, output rows, columns) over the output, strip by strip, top to bottom.
+
+    The strips and windows of `_tiles` and `_strip_windows`, in one thread.
+    """
+    low, rows, slices = _tiles(xp, k, out_shape)
+    d, h, _ = out_shape
+    for y in range(0, h, rows):
+        ys = slice(y, min(y + rows, h))
+        for zs, cols in _strip_windows(low, d, ys, slices):
+            yield zs, ys, cols
 
 
 def _window(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
@@ -326,12 +352,21 @@ def _window(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray, out_shape) -> np.ndarray:
-    """Valid cross-correlation of padded (C_in, ...) `xp` with (C_out, C_in, k, k, k) `w`."""
+    """Valid cross-correlation of padded (C_in, ...) `xp` with (C_out, C_in, k, k, k) `w`.
+
+    The row strips of `_tiles` run on the strip pool; each writes its own
+    rows of the output, one product per output slice of each window.
+    """
     c_out, k = w.shape[0], w.shape[2]
     out = np.empty((c_out,) + tuple(out_shape))
     wmat = w.transpose(0, 2, 1, 3, 4).reshape(c_out, -1)
-    for zs, ys, cols in _windows(xp, k, out_shape):
-        np.matmul(wmat, cols, out=_window(out, zs, ys))
+    low, rows, slices = _tiles(xp, k, out_shape)
+
+    def strip(ys):
+        for zs, cols in _strip_windows(low, out_shape[0], ys, slices):
+            np.matmul(wmat, cols, out=_window(out, zs, ys))
+
+    for_strips(out_shape[1], strip, rows)
     return out
 
 

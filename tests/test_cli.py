@@ -48,28 +48,27 @@ for w in (grads.w1_on, grads.w1_off, grads.w2_on, grads.w2_off):
 print(h.hexdigest())
 """
 
-# Prints the live thread count before and after the commands that must
-# not start the strip pool (a filter, one block forward and backward
-# pass, the gradient-check grid), then after a blur on more than one
-# strip, which must.  argv[1:4] are the filter's input and two outputs.
+# Prints the live thread count before and after the work whose convs each
+# run as one row strip and so must not start the strip pool (one block
+# forward and backward pass on 40 x 6 slices, the gradient-check grid),
+# then after a filter whose conv has three strips, which must.  argv[1:4]
+# are the filter's input and two outputs.
 _IDLE_COUNTS = """
 import sys, threading
 import numpy as np
 from oocs3d.block import OocsBlockConfig, block_backward, block_forward, init_block_params
 from oocs3d.cli import main
 from oocs3d.gradcheck import run_gradcheck_grid
-from oocs3d.perturb import gaussian_blur
-from oocs3d.tensor import FeatureMap, Volume
+from oocs3d.tensor import FeatureMap
 before = threading.active_count()
-assert main(["filter", "--in", sys.argv[1], "--out-on", sys.argv[2], "--out-off", sys.argv[3],
-             "--k", "5"]) == 0
 cfg = OocsBlockConfig(c_in=2, c_out=4)
 params = init_block_params(cfg, 1)
 y, cache = block_forward(FeatureMap(np.ones((2, 6, 40, 6))), params, cfg)
 block_backward(FeatureMap(np.ones(y.shape)), cache, params, cfg)
 run_gradcheck_grid()
 idle = threading.active_count()
-gaussian_blur(Volume(np.ones((40, 40, 4))), 1.0)
+assert main(["filter", "--in", sys.argv[1], "--out-on", sys.argv[2], "--out-off", sys.argv[3],
+             "--k", "5"]) == 0
 print(before, idle, threading.active_count())
 """
 
@@ -617,6 +616,66 @@ class TestOverflowOfFiniteData:
         finally:
             pool.shutdown()
 
+    @staticmethod
+    def _conv_strips_on_two_workers(monkeypatch, pool, fault=None):
+        """Run the conv engine's strips on two workers; return the list of threads that ran one.
+
+        In a call of more than one strip each thread's first strip waits
+        until the other holds one; a pool thread then raises `fault`, if
+        given, instead of computing its strip.
+        """
+        monkeypatch.setattr(_strips, "thread_count", lambda: 2)
+        monkeypatch.setattr(_strips, "_pool", lambda: pool)
+        ran = []
+
+        def for_strips_meeting(n_rows, fn, rows):
+            barrier, seen = threading.Barrier(2), threading.local()
+
+            def meet_then_fn(ys):
+                if n_rows > rows and not getattr(seen, "met", False):
+                    seen.met = True
+                    barrier.wait(timeout=10)
+                ran.append(threading.current_thread())
+                if fault is not None and threading.current_thread() is not threading.main_thread():
+                    raise fault
+                fn(ys)
+            _strips.for_strips(n_rows, meet_then_fn, rows)
+
+        monkeypatch.setattr(tensor, "for_strips", for_strips_meeting)
+        return ran
+
+    def test_overflow_in_a_conv_strip_on_a_pool_thread_is_numeric_failure(self, capsys, caplog, tmp_path,
+                                                                           monkeypatch):
+        # a 40 x 128 slice at k = 3 is three strips of 16, 16 and 8 rows,
+        # so a pool thread's strip overflows too
+        pool = ThreadPoolExecutor(1)
+        ran = self._conv_strips_on_two_workers(monkeypatch, pool)
+        try:
+            self._assert_numeric_failure(capsys, caplog, tmp_path, monkeypatch,
+                                         ["filter", "--k", "3", "--out-on", "on.mha", "--out-off", "off.mha"],
+                                         "feature map (C, D, H, W)", (8, 40, 128))
+        finally:
+            pool.shutdown()
+        assert any(t is not threading.main_thread() for t in ran)
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+
+    def test_memory_error_in_a_conv_strip_on_a_pool_thread_is_out_of_memory(self, capsys, caplog, tmp_path,
+                                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_mha(Volume(np.random.default_rng(337).normal(size=(40, 40, 40))), "in.mha")
+        pool = ThreadPoolExecutor(1)
+        ran = self._conv_strips_on_two_workers(monkeypatch, pool, MemoryError("strip buffer"))
+        try:
+            rc, stdout, stderr = _run(capsys, "filter", "--k", "5", "--in", "in.mha",
+                                      "--out-on", "on.mha", "--out-off", "off.mha")
+        finally:
+            pool.shutdown()
+        assert rc == 3
+        assert any(t is not threading.main_thread() for t in ran)
+        assert [r.getMessage() for r in caplog.records] == ["out of memory: strip buffer"]
+        assert stdout == "" and "Traceback" not in stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["in.mha"]
+
 
 def _nonfinite_image(ext):
     """Write an 8^3 image with one NaN and one +inf outside its centered 4^3 crop; return its `ext` path."""
@@ -917,8 +976,10 @@ class TestTopLevel:
         assert not caplog.records
 
     def test_conv_outputs_are_byte_identical_across_thread_counts(self, tmp_path):
-        # the engine's contract: byte-identical results at 1 and 2 BLAS
-        # threads, for the single-channel filter and the multichannel block
+        # the engine's contract: byte-identical results at any thread count,
+        # for the single-channel filter and the multichannel block; both run
+        # their row strips on the strip pool, and 5 workers are more than
+        # there are strips or, on most machines, cores
         c, _, h, w = _DIGEST_SHAPE
         # a strip of whole rows cannot hold the 3k - 2 lowered slices the
         # engine asks for, so the first conv runs on row strips
@@ -927,7 +988,7 @@ class TestTopLevel:
         src = tmp_path / "in.mha"
         write_mha(Volume(rng.normal(size=(20, 24, 28))), str(src))
         filtered, block = [], []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "5"):
             on_p = tmp_path / f"on{threads}.mha"
             off_p = tmp_path / f"off{threads}.mha"
             r = subprocess.run(
@@ -944,8 +1005,8 @@ class TestTopLevel:
             )
             assert r.returncode == 0, r.stderr
             block.append(r.stdout)
-        assert filtered[0] == filtered[1]
-        assert block[0] == block[1]
+        assert filtered[0] == filtered[1] == filtered[2]
+        assert block[0] == block[1] == block[2]
 
     def test_strip_pool_outputs_are_byte_identical_across_thread_counts(self, tmp_path):
         # blur and motion run on the strip pool, and eval's CSV must not
@@ -977,7 +1038,8 @@ class TestTopLevel:
             runs.append([p.read_bytes() for p in (blur, motion, scores)])
         assert runs[0] == runs[1] == runs[2]
 
-    def test_filter_block_and_gradcheck_start_no_pool_thread(self, tmp_path):
+    def test_single_strip_convs_start_no_pool_thread(self, tmp_path):
+        # a 40 x 24 slice at k = 5 is three strips of 16, 16 and 8 rows
         src = tmp_path / "in.mha"
         write_mha(Volume(np.random.default_rng(307).normal(size=(20, 40, 24))), str(src))
         r = subprocess.run(
@@ -988,7 +1050,7 @@ class TestTopLevel:
         assert r.returncode == 0, r.stderr
         before, idle, after = map(int, r.stdout.split())
         assert idle == before
-        assert after > before  # the count does see pool threads
+        assert after > before  # the filter's conv runs on pool threads
 
     def test_threads_flag_does_not_change_results(self, tmp_path):
         # run as real subprocesses so the thread pinning can take effect

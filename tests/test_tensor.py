@@ -1,11 +1,13 @@
 """Container validation and the convolution engine against a naive oracle."""
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from oocs3d import tensor
+from oocs3d import _strips, tensor
 from oocs3d.block import LEARNABLE, OocsBlockConfig, block_backward, block_forward, init_block_params
 from oocs3d.errors import CorruptFileError, DimensionError, DomainError, InvalidKernelError
 from oocs3d.losses import PredictionPair, bce_dice_loss
@@ -543,6 +545,59 @@ class TestSlabBoundaries:
         gx, gw = conv3d_backward(FeatureMap(x), ConvWeights(w0), FeatureMap(g), padding)
         assert abs(float(np.sum(x * gx.data)) - lhs) <= 1e-12 * abs(lhs)
         assert abs(float(np.sum(w0 * gw.data)) - lhs) <= 1e-12 * abs(lhs)
+
+    @staticmethod
+    def _on_workers(monkeypatch, workers, run):
+        """Return run()'s bytes, the sorted (start, stop) of every conv strip, and whether a pool thread ran one.
+
+        The strip pool gets `workers` workers; in a call of more than one
+        strip, each thread's first strip waits until every worker holds one.
+        """
+        pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+        monkeypatch.setattr(_strips, "thread_count", lambda: workers)
+        monkeypatch.setattr(_strips, "_pool", lambda: pool)
+        strips, on_pool = [], [False]
+
+        def for_strips_meeting(n_rows, fn, rows):
+            barrier, seen = threading.Barrier(workers), threading.local()
+
+            def meet_then_fn(ys):
+                if n_rows > rows and not getattr(seen, "met", False):
+                    seen.met = True
+                    barrier.wait(timeout=10)
+                strips.append((ys.start, ys.stop))
+                on_pool[0] |= threading.current_thread() is not threading.main_thread()
+                fn(ys)
+            _strips.for_strips(n_rows, meet_then_fn, rows)
+
+        monkeypatch.setattr(tensor, "for_strips", for_strips_meeting)
+        try:
+            got = run()
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        return got, sorted(strips), on_pool[0]
+
+    @pytest.mark.parametrize("tile", list(TILES))
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_two_workers_give_the_bytes_of_one(self, monkeypatch, k, padding, c_in, tile):
+        # the forward and the input gradient run their strips on the pool;
+        # their boundaries, and so every product, must not follow the count
+        x, w0, bias, g = self._setup(monkeypatch, k, padding, c_in, tile, 47)
+
+        def run():
+            y = conv3d_forward(FeatureMap(x), ConvWeights(w0, bias=bias), padding)
+            gx, _ = conv3d_backward(FeatureMap(x), ConvWeights(w0, bias=bias), FeatureMap(g), padding)
+            return y.data.tobytes() + gx.data.tobytes()
+
+        one, one_strips, _ = self._on_workers(monkeypatch, 1, run)
+        two, two_strips, pool_ran = self._on_workers(monkeypatch, 2, run)
+        assert two_strips == one_strips
+        assert two == one
+        # only the 3-row tile at k = 1 leaves both convs one strip each
+        assert pool_ran == (tile != "3" or k != 1)
 
 
 _IM2COL_CASES = [
