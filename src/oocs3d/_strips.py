@@ -1,12 +1,12 @@
 """One shared thread pool that runs work over fixed-size row strips.
 
 A strip is a run of consecutive indices of one axis (the last strip may
-be shorter): STRIP_ROWS of them for the blur and motion passes, and the
-rows of the conv engine's lowering budget for its correlations (see
-`tensor._tiles`).  The strip size never depends on the worker count, so
-each strip computes the same floats whichever thread runs it, and a
-result is byte-identical at any count; with one worker or one strip the
-same strips run on the calling thread alone.
+be shorter): STRIP_ROWS of them for the blur, motion and resample
+passes, and the rows of the conv engine's lowering budget for its
+correlations (see `tensor._tiles`).  The strip size never depends on
+the worker count, so each strip computes the same floats whichever
+thread runs it, and a result is byte-identical at any count; with one
+worker or one strip the same strips run on the calling thread alone.
 
 Callers allocate every volume-sized array before handing strips to the
 pool: memory that pool threads allocate lands in their own allocator

@@ -140,11 +140,14 @@ def motion_artifact(
     copy's weighted half-spectrum is added into H as the copy is made,
     so no full spectrum per copy is kept.  All transforms are drawn
     first; then each strip of H rows makes, transforms and adds every
-    copy's rows, since the depth transform never mixes rows.  A strip's
-    resample can move a sample coordinate by its last bit (see
-    resample_rows): a few ulps inside the input, but a sample that
-    lands exactly on the input's border can flip between the edge value
-    and 0, which the depth irfft spreads along that voxel's depth line.
+    copy's rows, since the depth transform never mixes rows, and ends
+    with the inverse transform of its rows of H, written over its rows
+    of the moved-copy buffer, which it no longer needs and which becomes
+    the result.  A strip's resample can move a sample coordinate by its
+    last bit (see resample_rows): a few ulps inside the input, but a
+    sample that lands exactly on the input's border can flip between the
+    edge value and 0, which the depth irfft spreads along that voxel's
+    depth line.
     """
     if n_transforms < 1:
         raise DomainError(f"n_transforms must be >= 1, got {n_transforms}")
@@ -183,6 +186,8 @@ def motion_artifact(
             np.fft.rfft(moved[:, rows], axis=0, out=spec[:, rows])
             spec[:, rows] *= weight
             half[:, rows] += spec[:, rows]
+        # the last copy's rows are spent, so the result takes their place
+        np.fft.irfft(half[:, rows], n=d, axis=0, out=copy[:, rows])
 
     for_strips(v.shape[1], splice_strip)
-    return Volume(_seal(np.fft.irfft(half, n=d, axis=0)), v.spacing)
+    return Volume(_seal(copy), v.spacing)

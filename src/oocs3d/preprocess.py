@@ -6,6 +6,11 @@ u = (j + 0.5) * s_t / s_in - 0.5, clamped to the valid index range, so
 the two grids share their physical origin at the first voxel's leading
 edge.  Each axis is its own 1-D pass: images interpolate linearly
 (trilinear overall), masks take voxel floor(u + 0.5), so ties round up.
+An axis whose target spacing equals its input spacing has u = j and
+gets no pass, so its values, -0.0 included, are kept as they are.  Each
+pass runs on the strip pool in strips of its output's first axis; every
+voxel is computed as in a whole-volume pass, so the bytes do not depend
+on the worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 
 import numpy as np
 
+from ._strips import for_strips
 from .errors import DimensionError, DomainError, NormalizationError, ResampleError
 from .tensor import BinaryMask, Volume, _check_size, _check_spacing, _seal
 
@@ -37,19 +43,44 @@ def _resample(obj, target_spacing):
         raise ResampleError(f"target spacing {ts} collapses shape {obj.shape} to {out_shape}")
     out = obj.data
     for axis, (n_in, s_in, s_t, n_out) in enumerate(zip(obj.shape, obj.spacing, ts, out_shape)):
-        u = np.clip((np.arange(n_out) + 0.5) * (s_t / s_in) - 0.5, 0.0, n_in - 1.0)
-        if order == 0:
-            out = np.take(out, np.floor(u + 0.5).astype(np.intp), axis=axis)
-            continue
-        i0 = np.floor(u).astype(np.intp)
-        f = (u - i0).reshape((-1,) + (1,) * (out.ndim - 1 - axis))
-        # (1 - f) * lo + f * hi, computed in place to spare two full-size temporaries
-        hi = np.take(out, np.minimum(i0 + 1, n_in - 1), axis=axis)
-        hi *= f
-        out = np.take(out, i0, axis=axis)
-        out *= 1.0 - f
-        out += hi
+        if s_t != s_in:  # an equal spacing maps u = j: the pass is an identity
+            u = np.clip((np.arange(n_out) + 0.5) * (s_t / s_in) - 0.5, 0.0, n_in - 1.0)
+            out = _resample_axis(out, axis, u, order)
     return type(obj)(_seal(out), ts)
+
+
+def _resample_axis(src: np.ndarray, axis: int, u: np.ndarray, order: int) -> np.ndarray:
+    """One 1-D pass: sample `src` at coordinates `u` along `axis`, in strips of output axis 0.
+
+    Both full-size buffers are allocated here, on the calling thread;
+    each strip fills its rows of them in place.  Along axis 0 a strip
+    takes its own rows of the indices from all of `src`, along another
+    axis all the indices from its own rows of `src`.
+    """
+    shape = list(src.shape)
+    shape[axis] = u.size
+    out = np.empty(shape, dtype=src.dtype)
+    if order == 0:
+        i0 = np.floor(u + 0.5).astype(np.intp)
+    else:
+        i0 = np.floor(u).astype(np.intp)
+        i1 = np.minimum(i0 + 1, src.shape[axis] - 1)
+        f = (u - i0).reshape((-1,) + (1,) * (src.ndim - 1 - axis))
+        hi = np.empty_like(out)
+
+    def pass_rows(rows):
+        sel, part = (rows, slice(None)) if axis == 0 else (slice(None), rows)
+        # mode="clip" lets np.take write straight into `out` (the indices are in range)
+        np.take(src[part], i0[sel], axis=axis, mode="clip", out=out[rows])
+        if order:
+            # (1 - f) * lo + f * hi, in place
+            np.take(src[part], i1[sel], axis=axis, mode="clip", out=hi[rows])
+            hi[rows] *= f[sel]
+            out[rows] *= 1.0 - f[sel]
+            out[rows] += hi[rows]
+
+    for_strips(shape[0], pass_rows)
+    return out
 
 
 def resample(v: Volume, target_spacing) -> Volume:

@@ -48,26 +48,32 @@ for w in (grads.w1_on, grads.w1_off, grads.w2_on, grads.w2_off):
 print(h.hexdigest())
 """
 
-# Prints the live thread count before and after the work whose convs each
-# run as one row strip and so must not start the strip pool (one block
-# forward and backward pass on 40 x 6 slices, the gradient-check grid),
-# then after a filter whose conv has three strips, which must.  argv[1:4]
-# are the filter's input and two outputs.
+# Prints the live thread count before and after the work that runs as one
+# strip at a time and so must not start the strip pool (one block forward
+# and backward pass on 40 x 6 slices, the gradient-check grid, and a
+# preprocess resampling to a depth of 12 and an eval on the result), then
+# after a filter whose conv has three strips, which must.  argv[1] is a
+# directory holding the filter's input in.mha and the small image and
+# mask small.mha and small_mask.mha.
 _IDLE_COUNTS = """
-import sys, threading
+import os, sys, threading
 import numpy as np
 from oocs3d.block import OocsBlockConfig, block_backward, block_forward, init_block_params
 from oocs3d.cli import main
 from oocs3d.gradcheck import run_gradcheck_grid
 from oocs3d.tensor import FeatureMap
+p = lambda name: os.path.join(sys.argv[1], name)
 before = threading.active_count()
 cfg = OocsBlockConfig(c_in=2, c_out=4)
 params = init_block_params(cfg, 1)
 y, cache = block_forward(FeatureMap(np.ones((2, 6, 40, 6))), params, cfg)
 block_backward(FeatureMap(np.ones(y.shape)), cache, params, cfg)
 run_gradcheck_grid()
+assert main(["preprocess", "--in", p("small.mha"), "--out", p("pre.mha"), "--mask", p("small_mask.mha"),
+             "--mask-out", p("pre_mask.mha"), "--spacing", "1", "0.8", "0.6"]) == 0
+assert main(["eval", "--pred", p("pre_mask.mha"), "--ref", p("pre_mask.mha"), "--csv-out", p("eval.csv")]) == 0
 idle = threading.active_count()
-assert main(["filter", "--in", sys.argv[1], "--out-on", sys.argv[2], "--out-off", sys.argv[3],
+assert main(["filter", "--in", p("in.mha"), "--out-on", p("on.mha"), "--out-off", p("off.mha"),
              "--k", "5"]) == 0
 print(before, idle, threading.active_count())
 """
@@ -1009,10 +1015,11 @@ class TestTopLevel:
         assert block[0] == block[1] == block[2]
 
     def test_strip_pool_outputs_are_byte_identical_across_thread_counts(self, tmp_path):
-        # blur and motion run on the strip pool, and eval's CSV must not
-        # move with the thread count either; H is two full strips and a
-        # short one, and 5 workers are more than there are strips or, on
-        # most machines, cores
+        # blur, motion and resampling run on the strip pool, and eval's
+        # CSV must not move with the thread count either; H is two full
+        # strips and a short one, resampling the depth to 1 mm makes 30
+        # rows, and 5 workers are more than there are strips or, on most
+        # machines, cores
         rng = np.random.default_rng(293)
         shape = (20, 2 * STRIP_ROWS + 5, 24)
         image = tmp_path / "in.mha"
@@ -1023,28 +1030,36 @@ class TestTopLevel:
             write_mha(BinaryMask(rng.random(shape) < 0.3, (1.5, 1.0, 0.7)), str(masks[name]))
         runs = []
         for threads in ("1", "2", "5"):
-            blur, motion, scores = (tmp_path / f"{threads}{name}"
-                                    for name in ("blur.mha", "motion.mha", "eval.csv"))
+            blur, motion, scores, *resampled = (
+                tmp_path / f"{threads}{name}" for name in (
+                    "blur.mha", "motion.mha", "eval.csv", "one.mha", "one_mask.mha", "all.mha",
+                    "all_mask.mha"))
             for argv in (
                 ["perturb", "--in", str(image), "--out", str(blur), "--kind", "gaussian_blur",
                  "--sigma", "1.5"],
                 ["--seed", "3", "perturb", "--in", str(image), "--out", str(motion), "--kind", "motion",
                  "--n", "3"],
                 ["eval", "--pred", str(masks["pred"]), "--ref", str(masks["ref"]), "--csv-out", str(scores)],
+                ["preprocess", "--in", str(image), "--out", str(resampled[0]), "--mask", str(masks["ref"]),
+                 "--mask-out", str(resampled[1]), "--spacing", "1", "1", "0.7"],
+                ["preprocess", "--in", str(image), "--out", str(resampled[2]), "--mask", str(masks["ref"]),
+                 "--mask-out", str(resampled[3]), "--spacing", "1", "0.8", "0.5"],
             ):
                 r = subprocess.run([sys.executable, "-m", "oocs3d.cli", "--threads", threads, *argv],
                                    capture_output=True, text=True, timeout=120)
                 assert r.returncode == 0, r.stderr
-            runs.append([p.read_bytes() for p in (blur, motion, scores)])
+            runs.append([p.read_bytes() for p in (blur, motion, scores, *resampled)])
         assert runs[0] == runs[1] == runs[2]
 
-    def test_single_strip_convs_start_no_pool_thread(self, tmp_path):
-        # a 40 x 24 slice at k = 5 is three strips of 16, 16 and 8 rows
-        src = tmp_path / "in.mha"
-        write_mha(Volume(np.random.default_rng(307).normal(size=(20, 40, 24))), str(src))
+    def test_single_strip_work_starts_no_pool_thread(self, tmp_path):
+        # a 40 x 24 slice at k = 5 is three strips of 16, 16 and 8 rows;
+        # the small volume resamples to (12, 25, 30), one strip per pass
+        rng = np.random.default_rng(307)
+        write_mha(Volume(rng.normal(size=(20, 40, 24))), str(tmp_path / "in.mha"))
+        write_mha(Volume(rng.normal(size=(8, 20, 18)), (1.5, 1.0, 1.0)), str(tmp_path / "small.mha"))
+        write_mha(BinaryMask(rng.random((8, 20, 18)) < 0.3, (1.5, 1.0, 1.0)), str(tmp_path / "small_mask.mha"))
         r = subprocess.run(
-            [sys.executable, "-c", _IDLE_COUNTS, str(src), str(tmp_path / "on.mha"),
-             str(tmp_path / "off.mha")],
+            [sys.executable, "-c", _IDLE_COUNTS, str(tmp_path)],
             capture_output=True, text=True, timeout=120, env={**os.environ, "OMP_NUM_THREADS": "2"},
         )
         assert r.returncode == 0, r.stderr

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from oocs3d.errors import DimensionError, UndefinedDistanceError
-from oocs3d.metrics import dice, hausdorff_mm
+from oocs3d.metrics import _edge, dice, hausdorff_mm
 from oocs3d.tensor import BinaryMask
 
 from oracles import brute_dice, brute_hausdorff_mm
@@ -200,3 +203,39 @@ class TestHausdorff:
         b = _mask(np.ones((2, 2, 2), dtype=bool), spacing=(2.0, 1.0, 1.0))
         with pytest.raises(DimensionError):
             hausdorff_mm(a, b)
+
+
+def _erosion_edge(b):
+    """B less its 6-connected erosion, with everything outside the array counted as outside B."""
+    return b & ~ndimage.binary_erosion(b)
+
+
+class TestEdge:
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 7)] * 3), density=st.sampled_from([0.2, 0.6, 0.9, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_erosion_on_random_masks(self, shape, density, seed):
+        b = np.random.default_rng(seed).random(shape) < density
+        np.testing.assert_array_equal(_edge(b), _erosion_edge(b))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 5, 6), (1, 6, 5), (3, 2, 7)])
+    def test_full_box_is_its_border_layer(self, shape):
+        b = np.ones(shape, dtype=bool)
+        edge = _edge(b)
+        np.testing.assert_array_equal(edge, _erosion_edge(b))
+        assert edge[1:-1, 1:-1, 1:-1].sum() == 0
+        assert edge.sum() == b.size - max(shape[0] - 2, 0) * max(shape[1] - 2, 0) * max(shape[2] - 2, 0)
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (2, 3, 1), (4, 6, 2)])
+    def test_one_voxel_is_its_own_edge(self, where):
+        b = np.zeros((5, 7, 3), dtype=bool)
+        b[where] = True
+        np.testing.assert_array_equal(_edge(b), b)
+
+    def test_mask_touching_the_box_border(self):
+        # a slab filling a whole face of the box: its face voxels count as edge
+        b = np.zeros((6, 7, 8), dtype=bool)
+        b[:3] = True
+        b[3, 2:5, 2:6] = True
+        np.testing.assert_array_equal(_edge(b), _erosion_edge(b))
+        assert _edge(b)[0].all()

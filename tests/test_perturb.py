@@ -235,8 +235,10 @@ class TestMotion:
 
     @pytest.mark.parametrize("shape", [(64, 64, 64), (40, 37, 29)])
     def test_peak_memory_stays_bounded(self, shape):
-        # about 5.2x the input's bytes at either shape; 5.5x leaves room
-        # for small allocations, not for another volume-sized buffer
+        # about 3.3x (64^3) and 4.2x (40 x 37 x 29) the input's bytes on
+        # one or two workers, up to 5.3x on five, whose strips' FFT
+        # scratch overlaps; 5.5x leaves room for small allocations, not
+        # for another volume-sized buffer
         v = Volume(np.random.default_rng(113).normal(size=shape))
         tracemalloc.start()
         try:

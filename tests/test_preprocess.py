@@ -1,8 +1,11 @@
 """Resampling, normalization, crop/pad."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oocs3d._strips import STRIP_ROWS
 from oocs3d.errors import DimensionError, DomainError, NormalizationError, ResampleError
 from oocs3d.preprocess import (
     crop_or_pad,
@@ -18,12 +21,23 @@ from oracles import map_coordinates_resample
 
 class TestResample:
     def test_identity_spacing_is_exact(self):
-        rng = np.random.default_rng(137)
-        v = Volume(rng.normal(size=(5, 6, 7)), spacing=(0.7, 1.1, 1.3))
+        # an unchanged axis gets no pass, so even -0.0 keeps its sign
+        data = np.random.default_rng(137).normal(size=(5, 6, 7))
+        data[2, 3, 4] = -0.0
+        v = Volume(data, spacing=(0.7, 1.1, 1.3))
         out = resample(v, (0.7, 1.1, 1.3))
         assert out.shape == v.shape
-        assert np.abs(out.data - v.data).max() < 1e-12
+        assert out.data.tobytes() == v.data.tobytes()
+        assert np.signbit(out.data[2, 3, 4])
         assert out.spacing == (0.7, 1.1, 1.3)
+
+    def test_unchanged_axes_keep_their_values(self):
+        # only the depth changes: the other two axes' values pass through
+        data = np.random.default_rng(138).normal(size=(6, 5, 4))
+        data[:, 1, 2] = -0.0
+        out = resample(Volume(data, spacing=(2.0, 1.1, 1.3)), (1.0, 1.1, 1.3))
+        assert out.shape == (12, 5, 4)
+        assert np.signbit(out.data[:, 1, 2]).all()
 
     def test_constant_stays_constant(self):
         v = Volume(np.full((6, 6, 6), 1.75), spacing=(1.0, 1.0, 1.0))
@@ -89,9 +103,11 @@ class TestResample:
             ((7, 5, 6), (1.0, 1.0, 1.0), (0.5, 0.5, 0.5)),
             ((13, 17, 11), (1.3, 0.7, 2.1), (0.9, 1.1, 1.7)),
             ((3, 6, 6), (1.0, 1.0, 1.0), (2.5, 1.0, 1.0)),
+            # output depth 2 * STRIP_ROWS + 5: two full strips and a short one for every pass
+            ((31, 9, 8), (1.2, 1.0, 0.8), (1.0, 0.9, 0.7)),
         ],
         ids=["identity", "anisotropic_to_1mm", "downsample_2", "upsample_2", "odd_ratios",
-             "axis_to_1_voxel"],
+             "axis_to_1_voxel", "three_strips"],
     )
     def test_matches_dense_grid_oracle(self, shape, spacing, target):
         rng = np.random.default_rng(193)
@@ -102,8 +118,24 @@ class TestResample:
         out_v = resample(Volume(image, spacing), target)
         out_m = resample_mask(BinaryMask(mask, spacing), target)
         assert out_v.shape == want_v.shape
+        if shape == (31, 9, 8):
+            assert out_v.shape[0] == 2 * STRIP_ROWS + 5
         assert np.abs(out_v.data - want_v).max() <= 1e-12 * np.abs(want_v).max()
         np.testing.assert_array_equal(out_m.data, want_m)
+
+    def test_peak_memory_with_one_changed_axis(self):
+        # the output and the one blend buffer the pass needs, 2x the
+        # output's bytes; 2.1x leaves room for small allocations, not
+        # for a third volume-sized array
+        v = Volume(np.random.default_rng(197).normal(size=(64, 48, 40)), spacing=(1.5, 1.0, 1.0))
+        tracemalloc.start()
+        try:
+            out = resample(v, (1.0, 1.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (96, 48, 40)
+        assert peak <= 2.1 * out.data.nbytes
 
 
 class TestZscore:
