@@ -14,7 +14,9 @@ sum, and every Off channel is -R.  The block computes R once, with one
 single-channel convolution, and adds it as +R to the On pre-activation
 and as -R to the Off one; -R is an exact negation, so Off stays
 bit-exactly antisymmetric.  For the same reason the backward pass sends
-one single-channel map through the flipped kernel.
+one single-channel map through the flipped kernel.  The two learnable
+first convolutions share x too, so their backward is one pass through
+their stacked weights.
 
 Every shape, and P, comes from the parameters.  A config that does not
 describe them raises DimensionError, and the backward pass refuses any
@@ -237,23 +239,33 @@ def block_backward(
     if grad_y.data.shape != out_shape:
         raise DimensionError(f"grad_y shape {grad_y.data.shape} does not match block output {out_shape}")
 
-    def half_backward(g_a2, pre2, pre1, w2, w1):
+    # the first-conv gradients of both pathways, On rows first, as the
+    # output gradient of the two first convs stacked into one
+    g_pre1 = np.empty(out_shape)
+
+    def second_backward(g_a2, pre2, pre1, w2, rows):
         g_pre2 = _seal(g_a2 * (pre2 > 0.0))
         g_a1, g_w2 = conv3d_backward(FeatureMap(_relu(pre1)), w2, FeatureMap(g_pre2))
-        g_pre1 = _seal(g_a1.data * (pre1 > 0.0))
-        g_x, g_w1 = conv3d_backward(cache.x, w1, FeatureMap(g_pre1))
-        return g_x.data, g_pre1.sum(axis=0), g_w1, g_w2
+        np.multiply(g_a1.data, pre1 > 0.0, out=g_pre1[rows])
+        return g_w2
 
-    gx_on, s_on, g_w1_on, g_w2_on = half_backward(
-        grad_y.data[:ch], cache.pre2_on, cache.pre1_on, params.w2_on, params.w1_on
-    )
-    gx_off, s_off, g_w1_off, g_w2_off = half_backward(
-        grad_y.data[ch:], cache.pre2_off, cache.pre1_off, params.w2_off, params.w1_off
-    )
+    on, off = slice(0, ch), slice(ch, 2 * ch)
+    g_w2_on = second_backward(grad_y.data[on], cache.pre2_on, cache.pre1_on, params.w2_on, on)
+    g_w2_off = second_backward(grad_y.data[off], cache.pre2_off, cache.pre1_off, params.w2_off, off)
+    # both first convs read x, so one backward through their stacked weights
+    # lowers x once and gives both pathways' input gradient in one correlation
+    w1 = ConvWeights(_seal(np.concatenate([params.w1_on.data, params.w1_off.data])))
+    gx, g_w1 = conv3d_backward(cache.x, w1, FeatureMap(_seal(g_pre1)))
+
+    def first_grad(w, rows):
+        return ConvWeights(g_w1.data[rows], None if w.bias is None else g_pre1[rows].sum(axis=(1, 2, 3)))
+
     flipped = ConvWeights(_p(params)[..., ::-1, ::-1, ::-1])
-    gx_fixed = conv3d_forward(FeatureMap(_seal(s_on - s_off)[None]), flipped).data
-    grads = BlockGrads(w1_on=g_w1_on, w1_off=g_w1_off, w2_on=g_w2_on, w2_off=g_w2_off)
-    return FeatureMap(_seal(gx_on + gx_off + gx_fixed)), grads
+    s = _seal(g_pre1[on].sum(axis=0) - g_pre1[off].sum(axis=0))
+    gx_fixed = conv3d_forward(FeatureMap(s[None]), flipped).data
+    grads = BlockGrads(w1_on=first_grad(params.w1_on, on), w1_off=first_grad(params.w1_off, off),
+                       w2_on=g_w2_on, w2_off=g_w2_off)
+    return FeatureMap(_seal(gx.data + gx_fixed)), grads
 
 
 def learnable_param_count(params: OocsBlockParams) -> int:

@@ -20,19 +20,22 @@ Conventions, fixed once for the whole package:
   once, and one output slice's columns are k consecutive lowered slices,
   with the taps in (kz, c, ky, kx) order.  There is one product per
   output slice of each window.  The output's row strips run on the
-  shared strip pool (`_strips.for_strips`), each into its own rows, for
-  the forward and the input gradient alike; the split depends on the
-  shapes alone, so a strip's products are the same whichever thread
-  runs it.  Results are byte-identical from run to run at a fixed
-  thread count.  The summation order inside a product is BLAS's choice,
-  which may depend on the product's shape, so another BLAS build or
-  strip size may change the last bits (the tests check that 1, 2 and 5
-  threads agree byte for byte).  The weight gradient is accumulated
-  transposed, as (taps, C_out), on the calling thread: one partial sum
-  per output slice, each the slice's columns times its output gradient,
-  in window order and slice order within a window, so the split sets its
-  order of partial sums too.  Negating the weights negates every partial
-  sum, so an Off response is bit-exactly minus its On response.
+  shared strip pool (`_strips.for_strips`), each into its own rows of
+  the forward and the input gradient, and into its own partial sum of
+  the weight gradient; the split depends on the shapes alone, so a
+  strip's products are the same whichever thread runs it.  The weight
+  gradient is accumulated transposed, as (taps, C_out): each strip adds
+  one product per output slice, the slice's columns times its output
+  gradient, in window order and slice order within a window, into its
+  own partial sum, and the calling thread then adds the strips' sums in
+  strip order.  So every result is byte-identical at any worker count
+  (the tests check that 1, 2 and 5 threads agree byte for byte); the
+  per-strip sums changed the weight gradient's last bits once against
+  the earlier single running sum.  The summation order inside a product
+  is BLAS's choice, which may depend on the product's shape, so another
+  BLAS build or strip size may change the last bits.  Negating the
+  weights negates every partial sum, so an Off response is bit-exactly
+  minus its On response.
 
 Container buffers are read-only after validation, so instances are safe
 to share across threads.  A container shares a buffer that no one can
@@ -58,7 +61,7 @@ PAD_VALID = "valid"
 PADDINGS = (PAD_SAME, PAD_VALID)
 
 # Upper bound on the lowered-slice buffer of the conv engine (see
-# `_windows`), so a window's columns stay in cache.
+# `_tiles`), so a window's columns stay in cache.
 _COL_BYTES = 1 << 20
 
 
@@ -332,19 +335,6 @@ def _strip_windows(low: np.ndarray, d: int, ys: slice, slices: int):
         yield slice(z, z + n), cols
 
 
-def _windows(xp: np.ndarray, k: int, out_shape):
-    """Yield (output slices, output rows, columns) over the output, strip by strip, top to bottom.
-
-    The strips and windows of `_tiles` and `_strip_windows`, in one thread.
-    """
-    low, rows, slices = _tiles(xp, k, out_shape)
-    d, h, _ = out_shape
-    for y in range(0, h, rows):
-        ys = slice(y, min(y + rows, h))
-        for zs, cols in _strip_windows(low, d, ys, slices):
-            yield zs, ys, cols
-
-
 def _window(a: np.ndarray, zs: slice, ys: slice) -> np.ndarray:
     """The (slices, C, rows * W) view of (C, D, H, W) `a` that one window covers."""
     v = a.transpose(1, 0, 2, 3)[zs, :, ys]
@@ -368,6 +358,31 @@ def _correlate(xp: np.ndarray, w: np.ndarray, out_shape) -> np.ndarray:
 
     for_strips(out_shape[1], strip, rows)
     return out
+
+
+def _weight_grad(xp: np.ndarray, go: np.ndarray, k: int) -> np.ndarray:
+    """The (taps, C_out) weight gradient of the valid correlation of padded `xp` that gave `go`.
+
+    Each row strip of `_tiles` runs on the strip pool into a partial sum
+    of its own; the strips' sums are then added in strip order.  Each
+    product is columns times the window's output gradient made
+    contiguous, a plain NN product.
+    """
+    out_shape = go.shape[1:]
+    low, rows, slices = _tiles(xp, k, out_shape)
+    partial = np.zeros((-(-out_shape[1] // rows), xp.shape[0] * k ** 3, go.shape[0]))
+
+    def strip(ys):
+        acc = partial[ys.start // rows]
+        for zs, cols in _strip_windows(low, out_shape[0], ys, slices):
+            for part in cols @ np.ascontiguousarray(_window(go, zs, ys).transpose(0, 2, 1)):
+                acc += part
+
+    for_strips(out_shape[1], strip, rows)
+    grad_wt = partial[0]
+    for acc in partial[1:]:
+        grad_wt += acc
+    return grad_wt
 
 
 def _conv_geometry(x: FeatureMap, w: ConvWeights, padding: str) -> tuple[tuple[int, int, int], int]:
@@ -406,12 +421,7 @@ def conv3d_backward(
         )
     go = grad_out.data
     k = w.k
-    # grad_w transposed, (taps, C_out): each product is columns times the
-    # window's output gradient made contiguous, a plain NN product
-    grad_wt = np.zeros((w.c_in * k ** 3, w.c_out))
-    for zs, ys, cols in _windows(_pad(x.data, (m,) * 3), k, out_shape):
-        for part in cols @ np.ascontiguousarray(_window(go, zs, ys).transpose(0, 2, 1)):
-            grad_wt += part
+    grad_wt = _weight_grad(_pad(x.data, (m,) * 3), go, k)
     grad_w = grad_wt.T.reshape(w.c_out, k, w.c_in, k, k).transpose(0, 2, 1, 3, 4)
     # grad_input is the full correlation of grad_out with the flipped,
     # channel-transposed kernel: pad so every input voxel sees all k^3 taps

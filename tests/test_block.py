@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oocs3d.block import (
+    LEARNABLE,
     OocsBlockConfig,
     OocsBlockParams,
     block_backward,
@@ -341,6 +342,90 @@ class TestBackward:
             block_backward(FeatureMap(np.zeros((4, 4, 4, 4))), cache, params, cfg)
 
 
+def _count_convs(monkeypatch):
+    """Count the calls through `oocs3d.block`'s conv3d_forward and conv3d_backward, by name."""
+    import oocs3d.block as block
+
+    calls = {"conv3d_forward": 0, "conv3d_backward": 0}
+    for name in calls:
+        real = getattr(block, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(block, name, counting)
+    return calls
+
+
+def _per_pathway_grads(grad_y, cache, params, cfg):
+    """The input gradient and the w1_on, w1_off, w2_on, w2_off gradients, with one first-conv backward per pathway."""
+    ch = cfg.c_half
+    gx, sums, grads = 0.0, [], []
+    for g_a2, pre2, pre1, w2, w1 in (
+        (grad_y[:ch], cache.pre2_on, cache.pre1_on, params.w2_on, params.w1_on),
+        (grad_y[ch:], cache.pre2_off, cache.pre1_off, params.w2_off, params.w1_off),
+    ):
+        g_a1, g_w2 = conv3d_backward(FeatureMap(np.maximum(pre1, 0.0)), w2, FeatureMap(g_a2 * (pre2 > 0.0)))
+        g_pre1 = g_a1.data * (pre1 > 0.0)
+        g_x, g_w1 = conv3d_backward(cache.x, w1, FeatureMap(g_pre1))
+        gx = gx + g_x.data
+        sums.append(g_pre1.sum(axis=0))
+        grads.append((g_w1, g_w2))
+    flipped = ConvWeights((params.on_kernel.data / cfg.c_in)[..., ::-1, ::-1, ::-1])
+    gx = gx + conv3d_forward(FeatureMap((sums[0] - sums[1])[None]), flipped).data
+    (g_w1_on, g_w2_on), (g_w1_off, g_w2_off) = grads
+    return gx, (g_w1_on, g_w1_off, g_w2_on, g_w2_off)
+
+
+class TestStackedFirstBackward:
+    """One backward through the stacked w1_on/w1_off against one backward per pathway."""
+
+    @pytest.mark.parametrize("off_bias", [True, False])
+    @pytest.mark.parametrize("k_oocs", [3, 5])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    def test_matches_per_pathway_formula(self, c_in, k_oocs, off_bias):
+        cfg = OocsBlockConfig(c_in=c_in, c_out=6, k_oocs=k_oocs)
+        params = init_block_params(cfg, seed=53 + c_in)
+        if not off_bias:
+            params = dataclasses.replace(params, w1_off=ConvWeights(params.w1_off.data))
+        rng = np.random.default_rng(53 + k_oocs)
+        x = FeatureMap(rng.normal(size=(c_in, 6, 7, 5)))
+        y, cache = block_forward(x, params, cfg)
+        g_y = rng.normal(size=y.data.shape)
+        gx, grads = block_backward(FeatureMap(g_y), cache, params, cfg)
+        want_gx, want = _per_pathway_grads(g_y, cache, params, cfg)
+        assert np.abs(gx.data - want_gx).max() <= 1e-12 * np.abs(want_gx).max()
+        for name, ref in zip(LEARNABLE, want):
+            got = getattr(grads, name)
+            if name.startswith("w2"):  # the second convs' backward is unchanged
+                assert got.data.tobytes() == ref.data.tobytes() and got.bias.tobytes() == ref.bias.tobytes()
+                continue
+            assert got.data.shape == params.w1_on.data.shape
+            for field in ("data", "bias"):
+                arr, ref_arr = getattr(got, field), getattr(ref, field)
+                if ref_arr is None:
+                    assert arr is None
+                    continue
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+                assert np.abs(arr - ref_arr).max() <= 1e-12 * np.abs(ref_arr).max()
+
+
+class TestCallBudget:
+    """How many convs the block runs; a split of the stacked first-conv backward shows here."""
+
+    def test_forward_and_backward_conv_counts(self, monkeypatch):
+        cfg = OocsBlockConfig(c_in=2, c_out=4)
+        params = init_block_params(cfg, seed=59)
+        x = FeatureMap(make_rng(59).normal(size=(2, 5, 6, 4)))
+        calls = _count_convs(monkeypatch)
+        y, cache = block_forward(x, params, cfg)
+        assert calls == {"conv3d_forward": 5, "conv3d_backward": 0}
+        calls.update(conv3d_forward=0)
+        block_backward(FeatureMap(np.ones(y.data.shape)), cache, params, cfg)
+        assert calls == {"conv3d_forward": 1, "conv3d_backward": 3}
+
+
 class TestConfigMustDescribeParams:
     """Every shape comes from the parameters; a config or params object that disagrees raises."""
 
@@ -456,20 +541,6 @@ class TestStageReuse:
         _, base = block_forward(x, params, cfg)
         return cfg, params, x, base, rng
 
-    @staticmethod
-    def _counted(monkeypatch):
-        import oocs3d.block as block
-
-        calls = []
-        real = block.conv3d_forward
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(block, "conv3d_forward", counting)
-        return calls
-
     @pytest.mark.parametrize("k_oocs", [3, 5])
     @pytest.mark.parametrize("c_in", [1, 2])
     @pytest.mark.parametrize("kind", list(_MOVES))
@@ -487,15 +558,15 @@ class TestStageReuse:
     def test_runs_only_the_convs_a_move_reaches(self, kind, monkeypatch):
         cfg, params, x, base, rng = self._setup()
         xm, pm = _MOVES[kind][0](x, params, rng)
-        calls = self._counted(monkeypatch)
+        calls = _count_convs(monkeypatch)
         block_forward(xm, pm, cfg, base=base)
-        assert len(calls) == _MOVES[kind][1]
+        assert calls["conv3d_forward"] == _MOVES[kind][1]
 
     def test_without_base_runs_every_conv(self, monkeypatch):
         cfg, params, x, _, _ = self._setup()
-        calls = self._counted(monkeypatch)
+        calls = _count_convs(monkeypatch)
         block_forward(x, params, cfg)
-        assert len(calls) == 5
+        assert calls["conv3d_forward"] == 5
 
     @pytest.mark.parametrize("what, convs", [
         ("w2_on", 1), ("w1_off", 2), ("on_kernel", 5), ("input", 5),
@@ -507,8 +578,8 @@ class TestStageReuse:
         else:
             w = getattr(params, what)
             xm, pm = x, dataclasses.replace(params, **{what: ConvWeights(w.data.copy(), w.bias)})
-        calls = self._counted(monkeypatch)
+        calls = _count_convs(monkeypatch)
         y_inc, _ = block_forward(xm, pm, cfg, base=base)
-        assert len(calls) == convs
+        assert calls["conv3d_forward"] == convs
         y_full, _ = block_forward(x, params, cfg)
         assert y_inc.data.tobytes() == y_full.data.tobytes()

@@ -459,11 +459,21 @@ def _hold(monkeypatch, c, k, w, rows, slices):
     monkeypatch.setattr(tensor, "_COL_BYTES", rows * (slices + k - 1) * c * k * k * w * 8)
 
 
+def _windows(xp, k, out_shape):
+    """Yield (output slices, output rows, columns) of the engine's strips and windows, top to bottom, in one thread."""
+    low, rows, slices = tensor._tiles(xp, k, out_shape)
+    d, h, _ = out_shape
+    for y in range(0, h, rows):
+        ys = slice(y, min(y + rows, h))
+        for zs, cols in tensor._strip_windows(low, d, ys, slices):
+            yield zs, ys, cols
+
+
 def _splits(c, k, out_shape):
     """(first slice, slices, first row, rows) of every window `_windows` yields, in order."""
     xp = np.zeros((c,) + tuple(s + k - 1 for s in out_shape))
     return [(zs.start, zs.stop - zs.start, ys.start, ys.stop - ys.start)
-            for zs, ys, _ in tensor._windows(xp, k, out_shape)]
+            for zs, ys, _ in _windows(xp, k, out_shape)]
 
 
 class TestSlabBoundaries:
@@ -583,17 +593,27 @@ class TestSlabBoundaries:
     @pytest.mark.parametrize("padding", [PAD_SAME, PAD_VALID])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_two_workers_give_the_bytes_of_one(self, monkeypatch, k, padding, c_in, tile):
-        # the forward and the input gradient run their strips on the pool;
-        # their boundaries, and so every product, must not follow the count
+        # the forward, the weight gradient and the input gradient run their
+        # strips on the pool; their boundaries, and so every product and the
+        # order the weight gradient's strip sums are added in, must not
+        # follow the count
         x, w0, bias, g = self._setup(monkeypatch, k, padding, c_in, tile, 47)
 
         def run():
             y = conv3d_forward(FeatureMap(x), ConvWeights(w0, bias=bias), padding)
-            gx, _ = conv3d_backward(FeatureMap(x), ConvWeights(w0, bias=bias), FeatureMap(g), padding)
-            return y.data.tobytes() + gx.data.tobytes()
+            gx, gw = conv3d_backward(FeatureMap(x), ConvWeights(w0, bias=bias), FeatureMap(g), padding)
+            return y.data.tobytes() + gx.data.tobytes() + gw.data.tobytes() + gw.bias.tobytes()
+
+        def strips(c, out_shape):
+            rows = tensor._tiles(np.zeros((c,) + tuple(s + k - 1 for s in out_shape)), k, out_shape)[1]
+            return [(y, min(y + rows, out_shape[1])) for y in range(0, out_shape[1], rows)]
 
         one, one_strips, _ = self._on_workers(monkeypatch, 1, run)
         two, two_strips, pool_ran = self._on_workers(monkeypatch, 2, run)
+        # the forward's strips, the weight gradient's (the same split of the
+        # same lowering) and the input gradient's, of the C_OUT-channel output
+        # gradient over the input's grid
+        assert one_strips == sorted(2 * strips(c_in, self.OUT) + strips(self.C_OUT, x.shape[1:]))
         assert two_strips == one_strips
         assert two == one
         # only the 3-row tile at k = 1 leaves both convs one strip each
@@ -638,7 +658,7 @@ class TestIm2col:
         covered = np.zeros(out_shape, dtype=int)
         splits = []
         m = k // 2 if padding == PAD_SAME else 0
-        for zs, ys, cols in tensor._windows(tensor._pad(x, (m,) * 3), k, out_shape):
+        for zs, ys, cols in _windows(tensor._pad(x, (m,) * 3), k, out_shape):
             for j, z in enumerate(range(zs.start, zs.stop)):
                 assert np.array_equal(cols[j], want[:, z, ys].reshape(taps, -1))
             covered[zs, ys] += 1
