@@ -29,6 +29,11 @@ Because each pathway's second convolution maps c_out/2 channels onto
 c_out/2, that count is exactly (c_out**2 / 2) * k_learn**3 below the
 full-width c_in -> c_out -> c_out two-conv stack.
 
+The cache keeps what the backward pass reads, the input, the two
+first-stage activations and the output, and R for a later forward.  A
+ReLU's output is positive exactly where its input is, so the backward
+takes each mask from the cached output and no pre-activation is kept.
+
 A forward pass may start from the cache of an earlier one (`base=`, see
 `block_forward`) and take from it every stage whose inputs are the same
 objects as there.  The reuse is byte-exact: containers freeze their
@@ -132,16 +137,17 @@ class BlockCache:
 
     `params` are the parameters the forward ran with and `r` is the fixed
     response R, so `block_forward(..., base=cache)` can tell which stages
-    it may take from here.
+    it may take from here.  `a1_on` and `a1_off` are the first-stage
+    activations the second convs read, and `y` is the block's output;
+    `a1 > 0` and `y > 0` are the ReLU masks the backward pass needs.
     """
 
     x: FeatureMap
     params: OocsBlockParams
     r: np.ndarray
-    pre1_on: np.ndarray
-    pre1_off: np.ndarray
-    pre2_on: np.ndarray
-    pre2_off: np.ndarray
+    a1_on: FeatureMap
+    a1_off: FeatureMap
+    y: FeatureMap
 
 
 def init_block_params(cfg: OocsBlockConfig, seed: int) -> OocsBlockParams:
@@ -164,10 +170,6 @@ def init_block_params(cfg: OocsBlockConfig, seed: int) -> OocsBlockParams:
     return OocsBlockParams(w1_on, w1_off, w2_on, w2_off, on_kernel)
 
 
-def _relu(arr: np.ndarray) -> np.ndarray:
-    return _seal(np.maximum(arr, 0.0))
-
-
 def _check_config(params: OocsBlockParams, cfg: OocsBlockConfig) -> None:
     """Raise DimensionError unless `cfg` describes `params`, whose own check ties each Off conv to its On twin."""
     w1 = params.w1_on.data.shape  # (c_out/2, c_in, k, k, k)
@@ -177,20 +179,27 @@ def _check_config(params: OocsBlockParams, cfg: OocsBlockConfig) -> None:
                              f"second conv's k_learn, k_oocs) = {got}, config is {cfg}")
 
 
+def _first_stage(x: FeatureMap, w1: ConvWeights, r: np.ndarray, inject) -> FeatureMap:
+    """ReLU(conv(x, w1) `inject` R), built in one buffer: the sum, then the ReLU in place."""
+    a1 = inject(conv3d_forward(x, w1).data, r)
+    return FeatureMap(_seal(np.maximum(a1, 0.0, out=a1)))
+
+
 def block_forward(
     x: FeatureMap, params: OocsBlockParams, cfg: OocsBlockConfig, base: BlockCache | None = None
 ) -> tuple[FeatureMap, BlockCache]:
     """Run the block; returns the concatenated output and the backward cache.
 
     With `base`, the cache of an earlier forward through the same block,
-    a stage reuses `base`'s array when each of its inputs is the same
+    a stage reuses `base`'s result when each of its inputs is the same
     object (`is`, not equal values) as in `base`:
 
     * R when `x is base.x` and `on_kernel` is `base`'s;
-    * `pre1_on` when R is reused and `w1_on` is `base`'s (`pre1_off`
+    * `a1_on` when R is reused and `w1_on` is `base`'s (`a1_off`
       likewise with `w1_off`);
-    * `pre2_on` when `pre1_on` is reused and `w2_on` is `base`'s
-      (`pre2_off` likewise with `w2_off`).
+    * the On half of `y` when `a1_on` is reused and `w2_on` is `base`'s,
+      copied from `base.y` (the Off half likewise with `a1_off` and
+      `w2_off`).
 
     The result is byte-identical to a forward without `base`, which is
     the same code with no stage reused.
@@ -208,14 +217,18 @@ def block_forward(
     else:
         x_sum = FeatureMap(_seal(x.data.sum(axis=0, keepdims=True)))
         r = conv3d_forward(x_sum, ConvWeights(_p(params))).data
-    pre1_on = base.pre1_on if keep1_on else conv3d_forward(x, params.w1_on).data + r
-    pre1_off = base.pre1_off if keep1_off else conv3d_forward(x, params.w1_off).data - r
-    pre2_on = base.pre2_on if keep2_on else conv3d_forward(FeatureMap(_relu(pre1_on)), params.w2_on).data
-    pre2_off = base.pre2_off if keep2_off else conv3d_forward(FeatureMap(_relu(pre1_off)), params.w2_off).data
-    y = FeatureMap(_seal(np.concatenate([_relu(pre2_on), _relu(pre2_off)], axis=0)))
-    cache = BlockCache(x=x, params=params, r=r, pre1_on=pre1_on, pre1_off=pre1_off,
-                       pre2_on=pre2_on, pre2_off=pre2_off)
-    return y, cache
+    a1_on = base.a1_on if keep1_on else _first_stage(x, params.w1_on, r, np.add)
+    a1_off = base.a1_off if keep1_off else _first_stage(x, params.w1_off, r, np.subtract)
+    ch = params.w1_on.c_out
+    y = np.empty((2 * ch,) + x.data.shape[1:])
+    for keep2, a1, w2, half in ((keep2_on, a1_on, params.w2_on, slice(0, ch)),
+                                (keep2_off, a1_off, params.w2_off, slice(ch, 2 * ch))):
+        if keep2:
+            y[half] = base.y.data[half]
+        else:
+            np.maximum(conv3d_forward(a1, w2).data, 0.0, out=y[half])
+    y = FeatureMap(_seal(y))
+    return y, BlockCache(x=x, params=params, r=r, a1_on=a1_on, a1_off=a1_off, y=y)
 
 
 def block_backward(
@@ -227,7 +240,8 @@ def block_backward(
     the forward path) but receive no weight gradient of their own.  Their
     part is the adjoint of the shared response R: the map
     sum_o g_pre1_on[o] - sum_o g_pre1_off[o], correlated with P flipped on
-    all three spatial axes, added to every input channel.
+    all three spatial axes, added to every input channel.  Each ReLU's
+    mask is read from its cached output (`a1 > 0`, `y > 0`).
 
     `params` must be `cache.params`, the object the forward ran with.
     """
@@ -243,15 +257,15 @@ def block_backward(
     # output gradient of the two first convs stacked into one
     g_pre1 = np.empty(out_shape)
 
-    def second_backward(g_a2, pre2, pre1, w2, rows):
-        g_pre2 = _seal(g_a2 * (pre2 > 0.0))
-        g_a1, g_w2 = conv3d_backward(FeatureMap(_relu(pre1)), w2, FeatureMap(g_pre2))
-        np.multiply(g_a1.data, pre1 > 0.0, out=g_pre1[rows])
+    def second_backward(a1, w2, rows):
+        g_pre2 = _seal(grad_y.data[rows] * (cache.y.data[rows] > 0.0))
+        g_a1, g_w2 = conv3d_backward(a1, w2, FeatureMap(g_pre2))
+        np.multiply(g_a1.data, a1.data > 0.0, out=g_pre1[rows])
         return g_w2
 
     on, off = slice(0, ch), slice(ch, 2 * ch)
-    g_w2_on = second_backward(grad_y.data[on], cache.pre2_on, cache.pre1_on, params.w2_on, on)
-    g_w2_off = second_backward(grad_y.data[off], cache.pre2_off, cache.pre1_off, params.w2_off, off)
+    g_w2_on = second_backward(cache.a1_on, params.w2_on, on)
+    g_w2_off = second_backward(cache.a1_off, params.w2_off, off)
     # both first convs read x, so one backward through their stacked weights
     # lowers x once and gives both pathways' input gradient in one correlation
     w1 = ConvWeights(_seal(np.concatenate([params.w1_on.data, params.w1_off.data])))

@@ -6,7 +6,10 @@ difference.  Central differences only estimate a derivative where the
 mapping is smooth, so directions that flip any ReLU activation between
 the two evaluation points are redrawn; the first-layer pre-activations
 are affine along any parameter direction, so equal activation patterns
-at both endpoints rule out a hidden crossing there.  Along an accepted
+at both endpoints rule out a hidden crossing there.  Each probe's forward
+starts from the base point's cache, and only the stages it recomputed
+are compared: a stage taken from that cache is the base point's own, so
+its pattern cannot differ.  Along an accepted
 direction the objective is polynomial of degree at most two, for which
 the central difference is exact up to roundoff, and the comparison is
 correspondingly tight.
@@ -43,12 +46,27 @@ class GradCheckCase:
     passed: bool
 
 
-def _masks(cache) -> tuple[np.ndarray, ...]:
-    return (cache.pre1_on > 0.0, cache.pre1_off > 0.0, cache.pre2_on > 0.0, cache.pre2_off > 0.0)
+def _pathways(cache) -> tuple[tuple[FeatureMap, ConvWeights, np.ndarray], ...]:
+    """Per pathway, On first: (first-stage activation, second conv, the pathway's half of y)."""
+    ch = cache.params.w1_on.c_out
+    return ((cache.a1_on, cache.params.w2_on, cache.y.data[:ch]),
+            (cache.a1_off, cache.params.w2_off, cache.y.data[ch:]))
 
 
-def _same_masks(a, b) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
+def _kink_free(cache, base, base_signs) -> bool:
+    """True when each ReLU stage that `cache`'s forward recomputed has the sign pattern it has in `base`.
+
+    `base_signs` holds `base`'s patterns per pathway as (a1 > 0, y half
+    > 0).  A stage the forward took from `base` by identity (see
+    `block_forward`) has `base`'s pattern, so it is not compared.
+    """
+    for (a1, w2, y_half), (a1_0, w2_0, _), (sign1, sign2) in zip(_pathways(cache), _pathways(base), base_signs):
+        first = a1 is not a1_0
+        if first and not np.array_equal(a1.data > 0.0, sign1):
+            return False
+        if (first or w2 is not w2_0) and not np.array_equal(y_half > 0.0, sign2):
+            return False
+    return True
 
 
 def block_gradient_check(
@@ -74,12 +92,12 @@ def block_gradient_check(
     probe = rng.normal(size=(cfg.c_out,) + tuple(spatial))
 
     _, base_cache = block_forward(x, params, cfg)
-    base_masks = _masks(base_cache)
+    base_signs = [(a1.data > 0.0, y_half > 0.0) for a1, _, y_half in _pathways(base_cache)]
 
     def phi(xin: FeatureMap, p: OocsBlockParams):
         # a probe moves one conv or the input; the stages it leaves alone come from the base cache
         y, cache = block_forward(xin, p, cfg, base=base_cache)
-        return float(np.sum(y.data * probe)), _masks(cache)
+        return float(np.sum(y.data * probe)), _kink_free(cache, base_cache, base_signs)
 
     gx, grads = block_backward(FeatureMap(probe), base_cache, params, cfg)
 
@@ -90,8 +108,8 @@ def block_gradient_check(
     targets = []
     for name in LEARNABLE:
         w, g = getattr(params, name), getattr(grads, name)
-        targets.append((g.data, lambda step, name=name, w=w: moved(name, w.data + step, w.bias)))
-        targets.append((g.bias, lambda step, name=name, w=w: moved(name, w.data, w.bias + step)))
+        targets.append((g.data, lambda step, name=name, w=w: moved(name, _seal(w.data + step), w.bias)))
+        targets.append((g.bias, lambda step, name=name, w=w: moved(name, w.data, _seal(w.bias + step))))
     targets.append((gx.data, lambda step: (FeatureMap(_seal(x.data + step)), params)))
 
     max_rel = 0.0
@@ -102,9 +120,9 @@ def block_gradient_check(
             for _attempt in range(32):
                 u = rng.normal(size=g.shape)
                 u /= float(np.linalg.norm(u))
-                f_plus, m_plus = phi(*move(h * u))
-                f_minus, m_minus = phi(*move(-h * u))
-                if _same_masks(m_plus, base_masks) and _same_masks(m_minus, base_masks):
+                f_plus, kept_plus = phi(*move(h * u))
+                f_minus, kept_minus = phi(*move(-h * u))
+                if kept_plus and kept_minus:
                     break
                 redraws += 1
             else:

@@ -21,17 +21,16 @@ Conventions, fixed once for the whole package:
   with the taps in (kz, c, ky, kx) order.  There is one product per
   output slice of each window.  The output's row strips run on the
   shared strip pool (`_strips.for_strips`), each into its own rows of
-  the forward and the input gradient, and into its own partial sum of
-  the weight gradient; the split depends on the shapes alone, so a
-  strip's products are the same whichever thread runs it.  The weight
-  gradient is accumulated transposed, as (taps, C_out): each strip adds
-  one product per output slice, the slice's columns times its output
-  gradient, in window order and slice order within a window, into its
-  own partial sum, and the calling thread then adds the strips' sums in
-  strip order.  So every result is byte-identical at any worker count
-  (the tests check that 1, 2 and 5 threads agree byte for byte); the
-  per-strip sums changed the weight gradient's last bits once against
-  the earlier single running sum.  The summation order inside a product
+  the forward and the input gradient; the weight gradient's strips run
+  in runs of consecutive strips, each run into a partial sum of its own.
+  The split depends on the shapes alone, so a strip's products are the
+  same whichever thread runs it.  The weight gradient is accumulated
+  transposed, as (taps, C_out): each strip of a run adds one product per
+  output slice, the slice's columns times its output gradient, in window
+  order and slice order within a window, into the run's partial sum, and
+  the calling thread then adds the runs' sums in run order.  So every
+  result is byte-identical at any worker count (the tests check that 1,
+  2 and 5 threads agree byte for byte).  The summation order inside a product
   is BLAS's choice, which may depend on the product's shape, so another
   BLAS build or strip size may change the last bits.  Negating the
   weights negates every partial sum, so an Off response is bit-exactly
@@ -363,22 +362,31 @@ def _correlate(xp: np.ndarray, w: np.ndarray, out_shape) -> np.ndarray:
 def _weight_grad(xp: np.ndarray, go: np.ndarray, k: int) -> np.ndarray:
     """The (taps, C_out) weight gradient of the valid correlation of padded `xp` that gave `go`.
 
-    Each row strip of `_tiles` runs on the strip pool into a partial sum
-    of its own; the strips' sums are then added in strip order.  Each
-    product is columns times the window's output gradient made
-    contiguous, a plain NN product.
+    The row strips of `_tiles` are grouped into runs of consecutive
+    strips, as few to a run as keep the runs' partial sums within
+    `_COL_BYTES` in all (one run of every strip when a single sum needs
+    more than half of it).  Each run is one task on the strip pool and
+    adds its strips' products, in strip order, into a partial sum of its
+    own; the runs' sums are then added in run order.  Each product is
+    columns times the window's output gradient made contiguous, a plain
+    NN product.
     """
     out_shape = go.shape[1:]
     low, rows, slices = _tiles(xp, k, out_shape)
-    partial = np.zeros((-(-out_shape[1] // rows), xp.shape[0] * k ** 3, go.shape[0]))
+    taps, h = xp.shape[0] * k ** 3, out_shape[1]
+    strips = -(-h // rows)
+    run = -(-strips // max(1, _COL_BYTES // (taps * go.shape[0] * 8)))
+    partial = np.zeros((-(-strips // run), taps, go.shape[0]))
 
-    def strip(ys):
-        acc = partial[ys.start // rows]
-        for zs, cols in _strip_windows(low, out_shape[0], ys, slices):
-            for part in cols @ np.ascontiguousarray(_window(go, zs, ys).transpose(0, 2, 1)):
-                acc += part
+    def strips_of_run(ys):
+        acc = partial[ys.start // (run * rows)]
+        for y in range(ys.start, ys.stop, rows):
+            strip = slice(y, min(y + rows, ys.stop))
+            for zs, cols in _strip_windows(low, out_shape[0], strip, slices):
+                for part in cols @ np.ascontiguousarray(_window(go, zs, strip).transpose(0, 2, 1)):
+                    acc += part
 
-    for_strips(out_shape[1], strip, rows)
+    for_strips(h, strips_of_run, run * rows)
     grad_wt = partial[0]
     for acc in partial[1:]:
         grad_wt += acc

@@ -125,7 +125,8 @@ def test_criterion_04_convolution_oracle():
 
 def _block_phi(x, params, cfg, probe):
     y, cache = block_forward(x, params, cfg)
-    masks = (cache.pre1_on > 0, cache.pre1_off > 0, cache.pre2_on > 0, cache.pre2_off > 0)
+    ch = cfg.c_half
+    masks = (cache.a1_on.data > 0, cache.a1_off.data > 0, y.data[:ch] > 0, y.data[ch:] > 0)
     return float(np.sum(y.data * probe)), masks
 
 

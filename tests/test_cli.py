@@ -48,6 +48,35 @@ for w in (grads.w1_on, grads.w1_off, grads.w2_on, grads.w2_off):
 print(h.hexdigest())
 """
 
+# Prints a digest of the gradient-check grid's rows (one seed, one
+# direction per target) and of one training step on the block digest's
+# input, at the thread count given as argv[1]: the block's output, a 1x1
+# head's bce_dice_loss, and the head's and the block's gradients.
+_STEP_DIGEST = f"""
+import hashlib, sys
+from oocs3d.cli import _apply_threads
+_apply_threads(int(sys.argv[1]))
+import numpy as np
+from oocs3d.block import OocsBlockConfig, block_backward, block_forward, init_block_params
+from oocs3d.gradcheck import run_gradcheck_grid
+from oocs3d.losses import PredictionPair, bce_dice_loss
+from oocs3d.tensor import ConvWeights, FeatureMap, conv3d_backward, conv3d_forward
+h = hashlib.sha256(repr(run_gradcheck_grid(seeds=(0,), n_dirs=1)).encode())
+cfg = OocsBlockConfig(c_in=4, c_out=8)
+rng = np.random.default_rng(7)
+params = init_block_params(cfg, 7)
+head = ConvWeights(rng.uniform(-0.35, 0.35, (1, 8, 1, 1, 1)), np.zeros(1))
+y, cache = block_forward(FeatureMap(rng.normal(size={_DIGEST_SHAPE})), params, cfg)
+target = (rng.random(y.shape[1:]) < 0.3).astype(float)
+loss, g_logits = bce_dice_loss(PredictionPair(conv3d_forward(y, head), target))
+g_y, g_head = conv3d_backward(y, head, g_logits)
+_, grads = block_backward(g_y, cache, params, cfg)
+h.update(y.data.tobytes() + np.float64(loss).tobytes())
+for w in (g_head, grads.w1_on, grads.w1_off, grads.w2_on, grads.w2_off):
+    h.update(w.data.tobytes() + w.bias.tobytes())
+print(h.hexdigest())
+"""
+
 # Prints the live thread count before and after the work that runs as one
 # strip at a time and so must not start the strip pool (one block forward
 # and backward pass on 40 x 6 slices, the gradient-check grid, and a
@@ -1013,6 +1042,16 @@ class TestTopLevel:
             block.append(r.stdout)
         assert filtered[0] == filtered[1] == filtered[2]
         assert block[0] == block[1] == block[2]
+
+    def test_gradcheck_rows_and_a_training_step_are_byte_identical_across_thread_counts(self):
+        digests = []
+        for threads in ("1", "2", "5"):
+            r = subprocess.run([sys.executable, "-c", _STEP_DIGEST, threads],
+                               capture_output=True, text=True, timeout=120)
+            assert r.returncode == 0, r.stderr
+            digests.append(r.stdout)
+        assert len(digests[0].strip()) == 64
+        assert digests[0] == digests[1] == digests[2]
 
     def test_strip_pool_outputs_are_byte_identical_across_thread_counts(self, tmp_path):
         # blur, motion and resampling run on the strip pool, and eval's

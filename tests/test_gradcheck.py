@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from oocs3d import block, gradcheck
@@ -83,9 +84,14 @@ class TestProbeTargets:
 
 class TestStageReuse:
     def test_rows_equal_those_of_full_forwards(self, monkeypatch):
-        # each probe's forward starts from the base point's cache; dropping
-        # that cache, so every probe runs all five convs, must change no row
-        grid = dict(seeds=(0,), n_dirs=2, spatial=(5, 5, 5))
+        # each probe's forward starts from the base point's cache, and its
+        # kink test compares only the stages it recomputed; dropping that
+        # cache, so every probe runs all five convs, and comparing all four
+        # masks must change no row.  The larger step crosses kinks of both
+        # stages, the second with its first stage recomputed and with it
+        # taken from the base cache, so the rows' redraws are compared too
+        grids = (dict(seeds=(0,), n_dirs=2, spatial=(5, 5, 5)),
+                 dict(seeds=(0, 1), n_dirs=2, spatial=(5, 5, 5), h=1e-4))
         convs = []
         real_conv = block.conv3d_forward
 
@@ -94,12 +100,20 @@ class TestStageReuse:
             return real_conv(*args, **kwargs)
 
         monkeypatch.setattr(block, "conv3d_forward", counted_conv)
-        shipped = run_gradcheck_grid(**grid)
+        shipped = [run_gradcheck_grid(**grid) for grid in grids]
         shipped_convs = len(convs)
         real = gradcheck.block_forward
         monkeypatch.setattr(gradcheck, "block_forward", lambda x, params, cfg, base=None: real(x, params, cfg))
-        assert run_gradcheck_grid(**grid) == shipped
+
+        def masks(cache):
+            ch = cache.a1_on.channels
+            return (cache.a1_on.data > 0, cache.a1_off.data > 0, cache.y.data[:ch] > 0, cache.y.data[ch:] > 0)
+
+        monkeypatch.setattr(gradcheck, "_kink_free", lambda cache, base, _: all(
+            np.array_equal(m, m0) for m, m0 in zip(masks(cache), masks(base))))
+        assert [run_gradcheck_grid(**grid) for grid in grids] == shipped
         assert shipped_convs < len(convs) - shipped_convs
+        assert sum(row.redraws for row in shipped[1]) > 0
 
 
 class TestGrid:

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -424,6 +425,31 @@ class TestConvBackward:
         assert abs(float(np.sum(x * gx.data)) - lhs) <= 1e-12 * abs(lhs)
         assert abs(float(np.sum(w0 * gw.data)) - lhs) <= 1e-12 * abs(lhs)
 
+    def test_weight_grad_scratch_is_held_to_the_budget(self, monkeypatch):
+        # one-row strips of 16 channels at k = 5: 32 strips, whose (taps,
+        # C_out) sums take 250 KiB each.  A sum per strip would hold 8 MiB;
+        # runs of strips whose sums fit `_COL_BYTES` hold 1 MiB
+        rng = np.random.default_rng(67)
+        x = rng.normal(size=(16, 1, 32, 32))
+        w0 = rng.normal(size=(16, 16, 5, 5, 5))
+        g = rng.normal(size=x.shape)
+        xp = tensor._pad(x, (2, 2, 2))
+        assert tensor._tiles(xp, 5, x.shape[1:])[1] == 1
+        monkeypatch.setattr(_strips, "thread_count", lambda: 1)  # one lowering buffer at a time
+        fx, fw, fg = FeatureMap(x), ConvWeights(w0), FeatureMap(g)
+        tracemalloc.start()
+        try:
+            _, gw = conv3d_backward(fx, fw, fg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the padded input and output gradient, a lowering buffer and the
+        # products add about 2 MiB to the partial sums
+        assert peak < 4 * tensor._COL_BYTES
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (5, 5, 5), axis=(1, 2, 3))
+        want = np.einsum("izyxabc,ozyx->oiabc", windows, g)
+        assert np.abs(gw.data - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_grad_out_shape_mismatch_rejected(self):
         x = FeatureMap(np.zeros((1, 4, 4, 4)))
         w = ConvWeights(np.zeros((1, 1, 3, 3, 3)))
@@ -594,9 +620,9 @@ class TestSlabBoundaries:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_two_workers_give_the_bytes_of_one(self, monkeypatch, k, padding, c_in, tile):
         # the forward, the weight gradient and the input gradient run their
-        # strips on the pool; their boundaries, and so every product and the
-        # order the weight gradient's strip sums are added in, must not
-        # follow the count
+        # strips on the pool, the weight gradient in runs of strips; their
+        # boundaries, and so every product and the order the weight
+        # gradient's run sums are added in, must not follow the count
         x, w0, bias, g = self._setup(monkeypatch, k, padding, c_in, tile, 47)
 
         def run():
@@ -604,16 +630,22 @@ class TestSlabBoundaries:
             gx, gw = conv3d_backward(FeatureMap(x), ConvWeights(w0, bias=bias), FeatureMap(g), padding)
             return y.data.tobytes() + gx.data.tobytes() + gw.data.tobytes() + gw.bias.tobytes()
 
-        def strips(c, out_shape):
+        def strips(c, out_shape, per_run=lambda n: 1):
             rows = tensor._tiles(np.zeros((c,) + tuple(s + k - 1 for s in out_shape)), k, out_shape)[1]
+            rows *= per_run(-(-out_shape[1] // rows))
             return [(y, min(y + rows, out_shape[1])) for y in range(0, out_shape[1], rows)]
+
+        def weight_grad_runs(n):
+            # as few strips to a run as keep the runs' (taps, C_OUT) sums within the budget
+            return -(-n // max(1, tensor._COL_BYTES // (c_in * k ** 3 * self.C_OUT * 8)))
 
         one, one_strips, _ = self._on_workers(monkeypatch, 1, run)
         two, two_strips, pool_ran = self._on_workers(monkeypatch, 2, run)
-        # the forward's strips, the weight gradient's (the same split of the
-        # same lowering) and the input gradient's, of the C_OUT-channel output
-        # gradient over the input's grid
-        assert one_strips == sorted(2 * strips(c_in, self.OUT) + strips(self.C_OUT, x.shape[1:]))
+        # the forward's strips, the weight gradient's runs of the same split
+        # of the same lowering, and the input gradient's strips, of the
+        # C_OUT-channel output gradient over the input's grid
+        assert one_strips == sorted(strips(c_in, self.OUT) + strips(c_in, self.OUT, weight_grad_runs)
+                                    + strips(self.C_OUT, x.shape[1:]))
         assert two_strips == one_strips
         assert two == one
         # only the 3-row tile at k = 1 leaves both convs one strip each
