@@ -47,6 +47,10 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(thread_count() - 1, thread_name_prefix="oocs3d-strip")
 
 
+if hasattr(os, "register_at_fork"):  # a forked child inherits the cached pool but none of its threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def for_strips(n_rows: int, fn, rows: int = STRIP_ROWS) -> None:
     """Call fn(strip) for each strip (a slice of `rows` indices) of range(n_rows); return when all are done.
 

@@ -4,12 +4,12 @@ The check probes random unit directions in parameter (and input) space
 and compares the analytic directional derivative against a central
 difference.  Central differences only estimate a derivative where the
 mapping is smooth, so directions that flip any ReLU activation between
-the two evaluation points are redrawn; the first-layer pre-activations
-are affine along any parameter direction, so equal activation patterns
-at both endpoints rule out a hidden crossing there.  Each probe's forward
-starts from the base point's cache, and only the stages it recomputed
-are compared: a stage taken from that cache is the base point's own, so
-its pattern cannot differ.  Along an accepted
+the two evaluation points are redrawn, up to `_MAX_DRAWS` draws each;
+the first-layer pre-activations are affine along any parameter
+direction, so equal activation patterns at both endpoints rule out a
+hidden crossing there.  Each probe's forward starts from the base
+point's cache, and a ReLU output that is that cache's own object (a
+stage `block_forward` reused) is not compared.  Along an accepted
 direction the objective is polynomial of degree at most two, for which
 the central difference is exact up to roundoff, and the comparison is
 correspondingly tight.
@@ -17,6 +17,7 @@ correspondingly tight.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -30,6 +31,8 @@ from .tensor import ConvWeights, FeatureMap, _check_size, _seal
 
 # offset separating the probe stream from the parameter-init stream
 _PROBE_STREAM = 1_000_003
+# draws per direction before the check gives up on finding one without a kink
+_MAX_DRAWS = 32
 
 
 @dataclass(frozen=True)
@@ -46,27 +49,18 @@ class GradCheckCase:
     passed: bool
 
 
-def _pathways(cache) -> tuple[tuple[FeatureMap, ConvWeights, np.ndarray], ...]:
-    """Per pathway, On first: (first-stage activation, second conv, the pathway's half of y)."""
-    ch = cache.params.w1_on.c_out
-    return ((cache.a1_on, cache.params.w2_on, cache.y.data[:ch]),
-            (cache.a1_off, cache.params.w2_off, cache.y.data[ch:]))
+def _relu_outputs(cache) -> tuple[FeatureMap, ...]:
+    return cache.a1_on, cache.a1_off, cache.y
 
 
 def _kink_free(cache, base, base_signs) -> bool:
-    """True when each ReLU stage that `cache`'s forward recomputed has the sign pattern it has in `base`.
+    """True when each ReLU output of `cache` is `base`'s own object or has `base_signs`'s pattern.
 
-    `base_signs` holds `base`'s patterns per pathway as (a1 > 0, y half
-    > 0).  A stage the forward took from `base` by identity (see
-    `block_forward`) has `base`'s pattern, so it is not compared.
+    `y` is new on every forward, so it is always compared in full; a half
+    that `block_forward` copied from `base.y` has `base`'s pattern.
     """
-    for (a1, w2, y_half), (a1_0, w2_0, _), (sign1, sign2) in zip(_pathways(cache), _pathways(base), base_signs):
-        first = a1 is not a1_0
-        if first and not np.array_equal(a1.data > 0.0, sign1):
-            return False
-        if (first or w2 is not w2_0) and not np.array_equal(y_half > 0.0, sign2):
-            return False
-    return True
+    return all(out is out0 or np.array_equal(out.data > 0.0, sign)
+               for out, out0, sign in zip(_relu_outputs(cache), _relu_outputs(base), base_signs))
 
 
 def block_gradient_check(
@@ -92,7 +86,7 @@ def block_gradient_check(
     probe = rng.normal(size=(cfg.c_out,) + tuple(spatial))
 
     _, base_cache = block_forward(x, params, cfg)
-    base_signs = [(a1.data > 0.0, y_half > 0.0) for a1, _, y_half in _pathways(base_cache)]
+    base_signs = [out.data > 0.0 for out in _relu_outputs(base_cache)]
 
     def phi(xin: FeatureMap, p: OocsBlockParams):
         # a probe moves one conv or the input; the stages it leaves alone come from the base cache
@@ -101,23 +95,22 @@ def block_gradient_check(
 
     gx, grads = block_backward(FeatureMap(probe), base_cache, params, cfg)
 
-    def moved(name, data, bias):
+    def moved(name, field, step):
+        w = getattr(params, name)
+        data, bias = (_seal(w.data + step), w.bias) if field == "data" else (w.data, _seal(w.bias + step))
         return x, replace(params, **{name: ConvWeights(data, bias)})
 
-    # (analytic gradient, step -> (input, params) moved by that step)
-    targets = []
-    for name in LEARNABLE:
-        w, g = getattr(params, name), getattr(grads, name)
-        targets.append((g.data, lambda step, name=name, w=w: moved(name, _seal(w.data + step), w.bias)))
-        targets.append((g.bias, lambda step, name=name, w=w: moved(name, w.data, _seal(w.bias + step))))
-    targets.append((gx.data, lambda step: (FeatureMap(_seal(x.data + step)), params)))
+    # (target name, analytic gradient, step -> (input, params) moved by that step)
+    targets = [(f"{name}.{field}", getattr(getattr(grads, name), field), functools.partial(moved, name, field))
+               for name in LEARNABLE for field in ("data", "bias")]
+    targets.append(("x", gx.data, lambda step: (FeatureMap(_seal(x.data + step)), params)))
 
     max_rel = 0.0
     redraws = 0
-    for g, move in targets:
+    for target, g, move in targets:
         floor = 1e-8 * (1.0 + float(np.linalg.norm(g)))
         for _ in range(n_dirs):
-            for _attempt in range(32):
+            for _attempt in range(_MAX_DRAWS):
                 u = rng.normal(size=g.shape)
                 u /= float(np.linalg.norm(u))
                 f_plus, kept_plus = phi(*move(h * u))
@@ -126,7 +119,9 @@ def block_gradient_check(
                     break
                 redraws += 1
             else:
-                raise DomainError("no kink-free probe direction found in 32 draws")
+                case = (cfg.k_oocs, cfg.c_in, cfg.c_out, seed)
+                raise DomainError(f"no kink-free probe direction for {target} found in {_MAX_DRAWS} draws "
+                                  f"at h={h!r} in case (k_oocs, c_in, c_out, seed) = {case}")
             fd = (f_plus - f_minus) / (2.0 * h)
             an = float(np.sum(g * u))
             rel = abs(an - fd) / max(abs(an), abs(fd), floor)

@@ -789,6 +789,16 @@ class TestGradcheckCommand:
         assert out == ""
         assert "configuration error" in caplog.text and reason in caplog.text
 
+    def test_exhausted_redraw_names_its_step_case_and_target(self):
+        # at h=1e-4 the default grid's case (3, 1, 8, 1) finds no kink-free
+        # w2_off.data direction in 32 draws
+        r = subprocess.run([sys.executable, "-m", "oocs3d.cli", "gradcheck", "--h", "1e-4"],
+                           capture_output=True, text=True, timeout=120)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "configuration error: no kink-free probe direction for w2_off.data found in 32 draws" in r.stderr
+        assert "h=0.0001 in case (k_oocs, c_in, c_out, seed) = (3, 1, 8, 1)" in r.stderr
+
 
 class TestSizeLimit:
     """Arguments that size an array past `tensor.MAX_ELEMENTS` exit 2 before allocating it."""

@@ -1,5 +1,8 @@
-"""The strip pool: error handling when a strip raises."""
+"""The strip pool: error handling when a strip raises, worker count, and fork."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -72,3 +75,47 @@ def test_pool_thread_error_propagates(two_workers):
 
     with pytest.raises(RuntimeError, match="pool strip"):
         for_strips(2 * STRIP_ROWS, fn)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_thread_count_falls_back_to_usable_cpus(monkeypatch, value):
+    # a value that is not a positive integer counts the CPUs this process may use
+    monkeypatch.setenv("OMP_NUM_THREADS", value)
+    _strips.thread_count.cache_clear()
+    try:
+        assert _strips.thread_count() == len(os.sched_getaffinity(0))
+    finally:
+        monkeypatch.undo()
+        _strips.thread_count.cache_clear()
+        _strips.thread_count()
+
+
+# Runs four strips on two workers in this process, then again in a forked
+# child, which a 10-s alarm kills if the strips never finish; prints the
+# child's exit code.
+_FORKED_STRIPS = """
+import os, signal
+from oocs3d._strips import for_strips
+
+def starts():
+    seen = []
+    for_strips(64, seen.append, 16)
+    return sorted(strip.start for strip in seen)
+
+assert starts() == [0, 16, 32, 48]
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)
+    os._exit(0 if starts() == [0, 16, 32, 48] else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_strips_on_its_own_pool():
+    # the child inherits the parent's started pool object but none of its threads
+    r = subprocess.run([sys.executable, "-c", _FORKED_STRIPS], capture_output=True, text=True, timeout=60,
+                       env={**os.environ, "OMP_NUM_THREADS": "2"})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0\n"

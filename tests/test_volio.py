@@ -136,6 +136,20 @@ class TestMhaHandFixture:
         assert back.shape == (3, 1, 1)
         np.testing.assert_array_equal(back.data.ravel(), [1.0, 2.0, 3.0])
 
+    def test_blank_header_lines_are_skipped(self, tmp_path):
+        lines = ["ObjectType = Image", "NDims = 3", "BinaryData = True", "BinaryDataByteOrderMSB = False",
+                 "DimSize = 2 1 3", "ElementSpacing = 0.5 0.75 1.25", "ElementType = MET_DOUBLE",
+                 "ElementDataFile = LOCAL"]
+        payload = struct.pack("<6d", 1.5, -2.0, 0.25, 8.0, 0.0, 3.5)
+        plain, blank = tmp_path / "plain.mha", tmp_path / "blank.mha"
+        plain.write_bytes("".join(f"{ln}\n" for ln in lines).encode("ascii") + payload)
+        # an empty line, a whitespace-only line and a CRLF-only line between keys
+        blank.write_bytes(("\n" + "\n  \t\n".join(lines[:4]) + "\n\r\n" + "\n\n".join(lines[4:]) + "\n")
+                          .encode("ascii") + payload)
+        a, b = read_mha(str(plain)), read_mha(str(blank))
+        assert b.spacing == a.spacing == (1.25, 0.75, 0.5)
+        assert b.data.tobytes() == a.data.tobytes() == payload
+
 
 def _write_header_and_payload(path, payload, data_file="LOCAL", **overrides):
     """Write a MetaImage header with `payload` inline, or in sibling file `data_file`."""
